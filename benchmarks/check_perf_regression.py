@@ -7,11 +7,13 @@ Usage::
 
 Every ``*events_per_sec`` field present in *both* files is compared; a
 drop larger than the threshold (default 10 %) on any of them fails the
-run with exit code 1.  Fields present on only one side are skipped — new
-benches appear, and scale knobs differ between CI jobs.  The compared
-fields are *rates*, so they are insensitive to the seed-count/duration
-knobs even when the baseline was produced at full scale and the check at
-CI's quick scale.
+run with exit code 1.  A gated field the baseline has but the current
+file lacks is reported ``MISSING`` and also fails the run: otherwise a
+rate that stopped being measured would pass silently.  Fields only the
+current file has are skipped — new benches appear.  The compared fields
+are *rates*, so they are insensitive to the seed-count/duration knobs
+even when the baseline was produced at full scale and the check at CI's
+quick scale.
 
 ``--strict bench.field:FRACTION`` (repeatable) pins a tighter per-metric
 threshold — e.g. ``--strict telemetry_overhead.events_per_sec:0.02``
@@ -24,13 +26,13 @@ itself).  Naming a gate that is absent from the compared files is a
 configuration error (exit 2 with the known gate list), not a silent
 no-op.
 
-Fields ending in ``speedup`` (scalar/vector wall-clock ratios such as
-``contention_dense_town.speedup``) are *strict-only* gates: ratios of two
-timed runs are noisier than single rates, so they are ignored by the
-default sweep and compared only when pinned explicitly — e.g. ``--strict
-contention_dense_town.speedup:0.2`` keeps the contended vectorization win
-within 20 % of its committed baseline (the >= 2x floor itself is asserted
-inside the bench).
+Fields ending in ``speedup`` (wall-clock ratios such as
+``dense_town.speedup``) are *strict-only* gates: ratios of two timed runs
+are noisier than single rates, so they are ignored by the default sweep
+and compared only when pinned explicitly — e.g. ``--strict
+dense_town.speedup:0.2`` would keep the vectorization win within 20 % of
+its committed baseline (the >= 3x floor itself is asserted inside the
+bench).
 
 ``--list`` prints every gate name and its committed baseline value, then
 exits — handy for discovering what ``--strict`` can pin::
@@ -43,7 +45,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import Dict, Iterator, Tuple
+from typing import Dict, Iterator, List, Tuple
 
 #: Metric fields treated as throughput (higher is better).
 RATE_SUFFIX = "events_per_sec"
@@ -92,6 +94,24 @@ def compare(
         bucket = regressed if ratio < 1.0 - limit else passed
         bucket[name] = (base, cur, ratio)
     return passed, regressed
+
+
+def vanished(
+    baseline: dict, current: dict, strict: Dict[str, float] = None
+) -> List[str]:
+    """Gated rates the baseline reports and ``current`` no longer does.
+
+    Speedup ratios count only when pinned via ``strict``, exactly as in
+    :func:`compare`.
+    """
+    strict = strict or {}
+    cur_rates = dict(iter_rates(current))
+    return [
+        name
+        for name, _ in iter_rates(baseline)
+        if name not in cur_rates
+        and (not name.endswith(SPEEDUP_SUFFIX) or name in strict)
+    ]
 
 
 def parse_strict(entries) -> Dict[str, float]:
@@ -154,7 +174,8 @@ def main(argv=None) -> int:
     with open(args.current, encoding="utf-8") as handle:
         current = json.load(handle)
     passed, regressed = compare(baseline, current, args.threshold, strict)
-    known = set(passed) | set(regressed)
+    missing = vanished(baseline, current, strict)
+    known = set(passed) | set(regressed) | set(missing)
     unknown = sorted(set(strict) - known)
     if unknown:
         names = ", ".join(sorted(known)) or "(none)"
@@ -170,14 +191,21 @@ def main(argv=None) -> int:
     for name, (base, cur, ratio) in {**passed, **regressed}.items():
         verdict = "REGRESSED" if name in regressed else "ok"
         print(f"{name:45s} {base:12.1f} -> {cur:12.1f}  ({ratio:5.2f}x)  {verdict}")
+    base_rates = dict(iter_rates(baseline))
+    for name in missing:
+        print(f"{name:45s} {base_rates[name]:12.1f} -> {'absent':>12}           MISSING")
     if regressed:
         print(
             f"{len(regressed)} metric(s) dropped more than "
             f"{100 * args.threshold:.0f}% vs baseline",
             file=sys.stderr,
         )
-        return 1
-    return 0
+    if missing:
+        print(
+            f"{len(missing)} baseline metric(s) missing from {args.current}",
+            file=sys.stderr,
+        )
+    return 1 if regressed or missing else 0
 
 
 if __name__ == "__main__":

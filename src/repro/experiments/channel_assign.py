@@ -144,11 +144,6 @@ class ChannelAssignSpec(ExperimentSpec):
     policies: Tuple[str, ...] = POLICIES
     channels: Tuple[int, ...] = (1, 6, 11)
     contention: Optional[ContentionSpec] = ContentionSpec()
-    #: ``True``/``False`` pin the array-backed/scalar contention state;
-    #: ``None`` defers to ``REPRO_CONTENTION_VECTOR``.  Rows are
-    #: byte-identical either way (the grid accelerates every strategy
-    #: cell equally), so the field only matters for wall-clock A/Bs.
-    contention_vector: Optional[bool] = None
     #: Town overrides (``None`` keeps the preset's value).
     loop_length_m: Optional[float] = None
     ap_density_per_km: Optional[float] = None
@@ -299,7 +294,6 @@ def run_assign_trial(
         config=spec.town_config(),
         transport=spec.transport,
         contention=contention,
-        contention_vector=spec.contention_vector,
     )
     channel_map = apply_strategy(town, strategy, spec.channels)
     mode = _policy_mode(policy, spec.channels)

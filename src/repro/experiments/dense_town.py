@@ -7,23 +7,19 @@ hundreds of vehicles.  It exists for two reasons:
 
 * It is the workload the vectorized medium (:mod:`repro.sim.medium_vec`)
   is built for — the ``dense_town`` perf bench drives this exact trial
-  with the vector path on and off and gates their events/sec ratio.
+  with and without numpy and gates their events/sec ratio.
 * It pins the bit-identity contract at scale: the trial result carries
   only simulation observables (event counts, frame counts, per-vehicle
-  throughput/connectivity), so scalar-vs-vector runs of the same spec
-  must produce byte-identical JSON and telemetry exports.
+  throughput/connectivity), so runs of the same spec with and without
+  numpy must produce byte-identical JSON and telemetry exports.
 
-``DenseTownSpec.vector`` picks the delivery path (``None`` defers to the
-``REPRO_MEDIUM_VECTOR`` environment toggle); the optional town-override
-fields let property tests draw random dense worlds without registering
-ad-hoc presets.
+The optional town-override fields let property tests draw random dense
+worlds without registering ad-hoc presets.
 """
 
 from __future__ import annotations
 
-import os
 import time
-from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from typing import List, Optional, Tuple
 
@@ -34,7 +30,6 @@ from ..core.spider import SpiderClient
 from ..obs.telemetry import Telemetry, TelemetrySnapshot
 from ..runner import TrialJob, run_jobs
 from ..sim.engine import Simulator
-from ..sim.radio import VECTOR_ENV
 from ..workloads.town import PRESETS, TownConfig, build_town
 from .api import ExperimentSpec, register
 
@@ -64,21 +59,12 @@ class DenseTownSpec(ExperimentSpec):
     speed_mps: float = 10.0
     #: Channels in the fleet's operation schedule.  One channel keeps the
     #: historical ``single-ch`` pin (and is the contended perf bench's
-    #: operating point: with every NIC tuned to the same channel the
-    #: scalar delivery scan checks the whole fleet per frame and the
-    #: scalar hidden-terminal walk sees every flight — exactly the loops
-    #: the array-backed paths collapse); several run Spider's equal-split
+    #: operating point: with every NIC tuned to the same channel every
+    #: frame reaches the whole fleet and every flight shares one channel's
+    #: cells — the contended worst case); several run Spider's equal-split
     #: multi-channel schedule, the paper's operating point for the
     #: channel-assignment experiments.
     channels: Tuple[int, ...] = (1,)
-    #: Delivery path: ``True``/``False`` force the vectorized/scalar
-    #: medium, ``None`` defers to ``REPRO_MEDIUM_VECTOR``.
-    vector: Optional[bool] = None
-    #: Contention state: ``True``/``False`` force the array-backed/scalar
-    #: CSMA/CA state (no effect unless ``contention`` is enabled),
-    #: ``None`` defers to ``REPRO_CONTENTION_VECTOR``.  Either way the
-    #: rows are byte-identical — only wall-clock differs.
-    contention_vector: Optional[bool] = None
     #: Town overrides (``None`` keeps the preset's value).
     loop_length_m: Optional[float] = None
     ap_density_per_km: Optional[float] = None
@@ -124,7 +110,7 @@ class DenseTownRow:
     #: Deterministic telemetry projection when the trial ran with
     #: telemetry.  Wall-clock profiling instruments are dropped at capture
     #: so the exported artifact is a pure function of (spec, seed) — the
-    #: scalar/vector byte-identity bar covers it.
+    #: golden fingerprints cover it.
     telemetry: Optional[TelemetrySnapshot] = None
 
     @property
@@ -171,28 +157,6 @@ class DenseTownResult:
         )
 
 
-@contextmanager
-def _vector_env(vector: Optional[bool]):
-    """Pin ``REPRO_MEDIUM_VECTOR`` for the trial body, then restore it.
-
-    The medium resolves its delivery path from the environment at
-    construction; pinning the variable around world construction is what
-    lets one process A/B the scalar and vectorized paths explicitly.
-    """
-    if vector is None:
-        yield
-        return
-    before = os.environ.get(VECTOR_ENV)
-    os.environ[VECTOR_ENV] = "1" if vector else "0"
-    try:
-        yield
-    finally:
-        if before is None:
-            del os.environ[VECTOR_ENV]
-        else:
-            os.environ[VECTOR_ENV] = before
-
-
 def run_dense_trial(
     spec: DenseTownSpec,
     seed: int,
@@ -206,48 +170,44 @@ def run_dense_trial(
     scale the vectorized medium targets.
 
     ``timings``, when given, receives ``sim_cpu_s`` — the CPU time of
-    ``sim.run`` alone, excluding world construction and fleet setup.
-    The perf benches A/B the scalar and array-backed paths through this
-    hook: setup cost is path-independent, so including it only dilutes
-    the measured speedup.  It never touches the row, which must stay
-    byte-identical across paths.
+    ``sim.run`` alone, excluding world construction and fleet setup,
+    which the perf benches leave out of their rates.  It never touches
+    the row, which must stay a pure function of (spec, seed).
     """
     with_telemetry = spec.telemetry if telemetry is None else telemetry
-    with _vector_env(spec.vector):
-        tele = (
-            Telemetry(enabled=True, key=("dense_town", spec.n_vehicles, seed))
-            if with_telemetry
-            else None
+    tele = (
+        Telemetry(enabled=True, key=("dense_town", spec.n_vehicles, seed))
+        if with_telemetry
+        else None
+    )
+    sim = Simulator(seed=seed, telemetry=tele)
+    town = build_town(
+        sim,
+        config=spec.town_config(),
+        transport=spec.transport,
+        contention=spec.contention,
+    )
+    spacing = town.config.loop_length_m / max(spec.n_vehicles, 1)
+    clients = []
+    mode = (
+        OperationMode.single_channel(spec.channels[0])
+        if len(spec.channels) == 1
+        else OperationMode.equal_split(spec.channels, 0.4)
+    )
+    for index in range(spec.n_vehicles):
+        mobility = town.make_vehicle_mobility(
+            spec.speed_mps, start_arc_m=index * spacing
         )
-        sim = Simulator(seed=seed, telemetry=tele)
-        town = build_town(
-            sim,
-            config=spec.town_config(),
-            transport=spec.transport,
-            contention=spec.contention,
-            contention_vector=spec.contention_vector,
+        config = SpiderConfig.spider_defaults(mode, num_interfaces=7)
+        client = SpiderClient(
+            sim, town.world, mobility, config, client_id=f"veh{index}"
         )
-        spacing = town.config.loop_length_m / max(spec.n_vehicles, 1)
-        clients = []
-        mode = (
-            OperationMode.single_channel(spec.channels[0])
-            if len(spec.channels) == 1
-            else OperationMode.equal_split(spec.channels, 0.4)
-        )
-        for index in range(spec.n_vehicles):
-            mobility = town.make_vehicle_mobility(
-                spec.speed_mps, start_arc_m=index * spacing
-            )
-            config = SpiderConfig.spider_defaults(mode, num_interfaces=7)
-            client = SpiderClient(
-                sim, town.world, mobility, config, client_id=f"veh{index}"
-            )
-            client.start()
-            clients.append(client)
-        t0 = time.process_time()
-        sim.run(until=spec.duration_s)
-        if timings is not None:
-            timings["sim_cpu_s"] = time.process_time() - t0
+        client.start()
+        clients.append(client)
+    t0 = time.process_time()
+    sim.run(until=spec.duration_s)
+    if timings is not None:
+        timings["sim_cpu_s"] = time.process_time() - t0
     n = max(spec.n_vehicles, 1)
     medium = town.world.medium
     if tele is not None and medium.contention is not None:

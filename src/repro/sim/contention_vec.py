@@ -1,387 +1,11 @@
-"""Array-backed CSMA/CA state (numpy-accelerated, byte-identical).
+"""Import location kept for ``perfbench/probe.py``.
 
-:mod:`repro.sim.contention` keeps the whole carrier-sense world in
-dictionaries: every :meth:`~repro.sim.contention.ContentionState.acquire`
-hashes nine ``(channel, cx, cy)`` keys to sense the 3x3 neighbourhood,
-and every receiver-side :meth:`interfered` check re-walks its cell's
-flight list in Python.  At city scale (250 vehicles, 1350+ APs, every
-beacon contending) those two loops dominate the contended hot path.
-
-This module replaces the data structure under each loop while keeping
-the control flow — and therefore every backoff/loss RNG draw — in the
-shared base class:
-
-* **Sense grid** — per channel, a dense 2-D float array of *sensed*
-  horizons: booking a cell writes ``max(view, done)`` over its 3x3
-  footprint, so a later sense reads exactly **one** element.  The
-  propagated value at cell ``c`` is the max over ``c``'s neighbourhood
-  of the own-cell bookings — precisely what the scalar 9-key walk
-  computes, on the same floats.  Bookings are ~4x rarer than senses in
-  contended city runs (most acquires defer), so moving the 3x3 work
-  from the read side to the write side is a net win even before the
-  dict-hashing savings.  The grid grows on demand with padding; reads
-  outside it are idle air (0.0), exactly like a missing dict key.  (The
-  backing store is nested Python lists, not an ndarray: access is always
-  a single scalar element, where list indexing measures ~1.3-2x faster
-  than any numpy read and yields genuine Python floats.)
-* **Flight scan** — :meth:`interfered` calls for one delivery share one
-  cached per-cell scan: the receiver-independent predicates (foreign
-  sender, airtime overlap) are applied once per cell, and the surviving
-  flight positions are confirmed per receiver with a squared-distance
-  prefilter against the capture bound (``min(range_m, capture_ratio *
-  sender_distance)`` plus :data:`~repro.sim.medium_vec.PREFILTER_MARGIN_M`)
-  whose survivors re-run the exact ``math.hypot`` predicate in recording
-  order.  Caching is identity-safe: a flight booked *during* the
-  delivery (a receiver's ``on_frame`` transmitting synchronously) starts
-  at ``now + ifs + backoff >= now``, while the delivery being scanned
-  ended at ``done = now - propagation delay < now`` — the new flight can
-  never satisfy ``f_start < done``, so the scalar walk would skip it too.
-* **busy_until** stays the base class's O(1) running per-channel max.
-
-Bit-identity contract: same discipline as :mod:`repro.sim.medium_vec` —
-arrays only ever *prefilter*; every survivor is confirmed by the exact
-scalar predicate on the same float values, in the same order, and the
-RNG streams (``medium.contention`` backoff draws, ``medium.loss`` loss
-draws) are consumed by the shared base-class control flow.
-
-numpy is optional (the ``perf`` extra).  When it is missing,
-:func:`make_contention_state` falls back to the scalar state and the
-medium counts the event on the nondeterministic
-``contention.vector_fallbacks`` obs counter, mirroring
-``medium.vector_fallbacks``.
+The CSMA/CA state, sense grid and flight scan included, is
+:class:`repro.sim.contention.ContentionState`.
 """
 
-from __future__ import annotations
-
-import math
-from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
-
-try:  # pragma: no cover - exercised via make_contention_state() both ways
-    import numpy as _np
-except ImportError:  # pragma: no cover
-    _np = None
-
-from .contention import ContentionSpec, ContentionState
-from .medium_vec import PREFILTER_MARGIN_M
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from .radio import Medium
-
-__all__ = [
-    "CONTENTION_VECTOR_ENV",
-    "ContentionVecState",
-    "make_contention_state",
-]
-
-#: Environment toggle for the array-backed contention state, mirroring
-#: ``REPRO_MEDIUM_VECTOR``: unset/truthy enables it (numpy permitting),
-#: ``0``/``off``/``false``/``no`` pins the scalar state.
-CONTENTION_VECTOR_ENV = "REPRO_CONTENTION_VECTOR"
-
-#: Below this many overlap-surviving flights in a cell the exact scalar
-#: distance loop beats the numpy round-trip.
-VEC_MIN_FLIGHTS = 12
-
-#: Cells beyond the grid edge trigger a regrow with this much padding on
-#: the far side, so a fleet sweeping along a loop reallocates rarely.
-_GRID_PAD = 8
-
-_MISSING = object()
-
-
-def vector_contention_enabled(env: Optional[str]) -> bool:
-    """Decode the ``REPRO_CONTENTION_VECTOR`` setting (default: on)."""
-    if env is None:
-        return True
-    return env.strip().lower() not in ("0", "off", "false", "no")
-
-
-def make_contention_state(
-    medium: "Medium", spec: ContentionSpec, vector: Optional[bool] = None
-) -> Tuple[ContentionState, bool]:
-    """Build the contention state for ``medium``.
-
-    ``vector=None`` defers to :data:`CONTENTION_VECTOR_ENV`.  Returns
-    ``(state, fell_back)`` — ``fell_back`` is True only when the vector
-    state was requested but numpy is unavailable, so the caller can count
-    the nondeterministic fallback without re-deriving the decision.
-    """
-    if vector is None:
-        import os
-
-        vector = vector_contention_enabled(os.environ.get(CONTENTION_VECTOR_ENV))
-    if not vector:
-        return ContentionState(medium, spec), False
-    if _np is None:
-        return ContentionState(medium, spec), True
-    return ContentionVecState(medium, spec), False
-
-
-class _SenseGrid:
-    """One channel's dense sensed-horizon grid.
-
-    ``rows[cx - x0][cy - y0]`` holds the max busy horizon any station in
-    cell ``(cx, cy)`` senses — i.e. the neighbourhood-propagated max of
-    the own-cell bookings.  ``horizon`` tracks the channel-wide max for
-    O(1) ``busy_until``.
-
-    The 2-D float array is nested Python lists rather than an ndarray:
-    the grid is only ever touched one cell (sense) or nine cells (book)
-    at a time, and for scalar point access plain list indexing beats the
-    numpy round-trip (``.item()``/``memoryview`` reads measured ~1.3-2x
-    slower per element) while returning genuine Python floats — numpy
-    scalars must never leak into ``sensed + ifs + backoff`` (they would
-    poison sim.now and the JSON exports with np.float64).  numpy stays
-    where it vectorizes for real: the hidden-terminal distance prefilter
-    below.
-    """
-
-    __slots__ = ("x0", "y0", "w", "h", "rows", "horizon")
-
-    def __init__(self, cx: int, cy: int) -> None:
-        self.x0 = cx - _GRID_PAD
-        self.y0 = cy - _GRID_PAD
-        side = 2 * _GRID_PAD + 1
-        self.w = side
-        self.h = side
-        self.rows = [[0.0] * side for _ in range(side)]
-        self.horizon = 0.0
-
-    def sense(self, cx: int, cy: int) -> float:
-        ix = cx - self.x0
-        iy = cy - self.y0
-        if 0 <= ix < self.w and 0 <= iy < self.h:
-            return self.rows[ix][iy]
-        return 0.0
-
-    def book(self, cx: int, cy: int, done: float) -> None:
-        ix = cx - self.x0
-        iy = cy - self.y0
-        if not (1 <= ix < self.w - 1 and 1 <= iy < self.h - 1):
-            self._grow(cx, cy)
-            ix = cx - self.x0
-            iy = cy - self.y0
-        for row in self.rows[ix - 1 : ix + 2]:
-            if done > row[iy - 1]:
-                row[iy - 1] = done
-            if done > row[iy]:
-                row[iy] = done
-            if done > row[iy + 1]:
-                row[iy + 1] = done
-        if done > self.horizon:
-            self.horizon = done
-
-    def _grow(self, cx: int, cy: int) -> None:
-        """Reallocate to cover ``(cx, cy)`` with a 1-cell write margin."""
-        old = self.rows
-        x0 = min(self.x0, cx - _GRID_PAD)
-        y0 = min(self.y0, cy - _GRID_PAD)
-        x1 = max(self.x0 + self.w, cx + _GRID_PAD + 1)
-        y1 = max(self.y0 + self.h, cy + _GRID_PAD + 1)
-        w = x1 - x0
-        h = y1 - y0
-        rows = [[0.0] * h for _ in range(w)]
-        ox = self.x0 - x0
-        oy = self.y0 - y0
-        for i, old_row in enumerate(old):
-            rows[ox + i][oy : oy + self.h] = old_row
-        self.x0 = x0
-        self.y0 = y0
-        self.w = w
-        self.h = h
-        self.rows = rows
+from .contention import ContentionState
 
 
 class ContentionVecState(ContentionState):
-    """CSMA/CA state with array-backed sense + flight-scan hot loops.
-
-    Overrides only the data-structure hooks (:meth:`_sense`,
-    :meth:`_book`, :meth:`_interfered`, :meth:`busy_until`); every
-    decision, draw, and accounting side effect runs in the shared base
-    class, which is what makes the A/B byte-identity bar cheap to hold.
-    """
-
-    is_vector = True
-
-    def __init__(self, medium: "Medium", spec: ContentionSpec):
-        super().__init__(medium, spec)
-        self._np = _np
-        #: channel -> sense grid (built on first booking).
-        self._grids: Dict[int, _SenseGrid] = {}
-        #: One delivery's cached flight scans: key identifies the
-        #: delivery, the dict maps receiver cells to their pre-screened
-        #: foreign overlapping flights (or None when the cell is clean).
-        self._scan_key: Optional[Tuple[int, str, float, float]] = None
-        self._scan_cells: Dict[Tuple[int, int], object] = {}
-
-    # -- carrier sense -------------------------------------------------
-    def _sense(self, channel: int, cx: int, cy: int) -> float:
-        # Inlined _SenseGrid.sense: this runs once per acquire (millions
-        # of calls in a contended city run), so the extra frame matters.
-        grid = self._grids.get(channel)
-        if grid is None:
-            return 0.0
-        ix = cx - grid.x0
-        iy = cy - grid.y0
-        if 0 <= ix < grid.w and 0 <= iy < grid.h:
-            return grid.rows[ix][iy]
-        return 0.0
-
-    def _book(self, channel: int, cx: int, cy: int, done: float) -> None:
-        grid = self._grids.get(channel)
-        if grid is None:
-            grid = self._grids[channel] = _SenseGrid(cx, cy)
-        grid.book(cx, cy, done)
-
-    def busy_until(self, channel: int) -> float:
-        grid = self._grids.get(channel)
-        return grid.horizon if grid is not None else 0.0
-
-    # -- hidden-terminal scan ------------------------------------------
-    def _interfered(
-        self,
-        sender_id: str,
-        channel: int,
-        rx: float,
-        ry: float,
-        start: float,
-        done: float,
-        sender_distance: float,
-    ) -> bool:
-        key = (channel, sender_id, start, done)
-        if key != self._scan_key:
-            self._scan_key = key
-            self._scan_cells = {}
-        bin_m = self._bin_m
-        cell = (int(rx // bin_m), int(ry // bin_m))
-        cached = self._scan_cells.get(cell, _MISSING)
-        if cached is _MISSING:
-            cached = self._scan_cells[cell] = self._screen_cell(
-                (channel, cell[0], cell[1]), sender_id, start, done
-            )
-        if cached is None:
-            return False
-        reach = min(self.medium.range_m, self.spec.capture_ratio * sender_distance)
-        pts, xs, ys = cached
-        hypot = math.hypot
-        if pts is not None:
-            for f_x, f_y in pts:
-                if hypot(rx - f_x, ry - f_y) <= reach:
-                    return True
-            return False
-        # Squared-distance prefilter with the medium_vec margin; the
-        # numpy comparison is conservative, so the exact hypot predicate
-        # (same floats, recording order) makes the final call.
-        bound = reach + PREFILTER_MARGIN_M
-        dx = xs - rx
-        dy = ys - ry
-        close = (dx * dx + dy * dy <= bound * bound).nonzero()[0]
-        for i in close:
-            if hypot(rx - xs[i], ry - ys[i]) <= reach:
-                return True
-        return False
-
-    def interfered_rows(
-        self,
-        sender_id: str,
-        channel: int,
-        rows: List[Tuple],
-        start: float,
-        done: float,
-    ):
-        """Batched per-delivery scan: screen each receiver cell once.
-
-        Interference flags consume no randomness, so evaluating them
-        up front (instead of lazily inside the delivery loop) cannot
-        perturb the draw stream; flights booked mid-delivery can never
-        satisfy ``f_start < done`` (see the module docstring), so the
-        answers match the scalar walk's bit for bit.  With telemetry on
-        this defers to the base implementation so the deterministic
-        dispatch counters advance per survivor.
-        """
-        if self._profile:
-            return super().interfered_rows(sender_id, channel, rows, start, done)
-        key = (channel, sender_id, start, done)
-        if key != self._scan_key:
-            self._scan_key = key
-            self._scan_cells = {}
-        cells = self._scan_cells
-        bin_m = self._bin_m
-        range_m = self.medium.range_m
-        ratio = self.spec.capture_ratio
-        hypot = math.hypot
-        screen = self._screen_cell
-        flags = []
-        append = flags.append
-        # Receivers arrive in registration order, so spatial neighbours
-        # (co-located AP radios, a vehicle's own NICs) are adjacent; the
-        # one-entry memo skips the dict round-trip for those runs.
-        last_x = last_y = None
-        cached = None
-        for row in rows:
-            rx = row[4]
-            ry = row[5]
-            cell_x = int(rx // bin_m)
-            cell_y = int(ry // bin_m)
-            if cell_x != last_x or cell_y != last_y:
-                last_x = cell_x
-                last_y = cell_y
-                cell = (cell_x, cell_y)
-                cached = cells.get(cell, _MISSING)
-                if cached is _MISSING:
-                    cached = cells[cell] = screen(
-                        (channel, cell_x, cell_y), sender_id, start, done
-                    )
-            if cached is None:
-                append(False)
-                continue
-            capture = ratio * row[6]
-            reach = range_m if capture > range_m else capture
-            pts, xs, ys = cached
-            hit = False
-            if pts is not None:
-                for f_x, f_y in pts:
-                    if hypot(rx - f_x, ry - f_y) <= reach:
-                        hit = True
-                        break
-            else:
-                bound = reach + PREFILTER_MARGIN_M
-                dx = xs - rx
-                dy = ys - ry
-                for i in (dx * dx + dy * dy <= bound * bound).nonzero()[0]:
-                    if hypot(rx - xs[i], ry - ys[i]) <= reach:
-                        hit = True
-                        break
-            append(hit)
-        return flags
-
-    def _screen_cell(
-        self,
-        key: Tuple[int, int, int],
-        sender_id: str,
-        start: float,
-        done: float,
-    ):
-        """Receiver-independent screening of one cell's flight list.
-
-        Applies the exact foreign-sender and airtime-overlap predicates
-        once, preserving recording order; returns ``None`` for a clean
-        cell, a position list for small survivor sets, or numpy position
-        arrays for large ones.
-        """
-        flights = self._inflight.get(key)
-        if not flights:
-            return None
-        pts: List[Tuple[float, float]] = [
-            (f_x, f_y)
-            for f_start, f_end, f_sender, f_x, f_y in flights
-            if f_sender != sender_id and f_start < done and start < f_end
-        ]
-        if not pts:
-            return None
-        if len(pts) < VEC_MIN_FLIGHTS:
-            return (pts, None, None)
-        np = self._np
-        xs = np.array([p[0] for p in pts], dtype=float)
-        ys = np.array([p[1] for p in pts], dtype=float)
-        return (None, xs, ys)
+    """Defines nothing; exists only for ``perfbench/probe.py``'s import."""

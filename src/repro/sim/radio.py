@@ -35,7 +35,6 @@ from __future__ import annotations
 
 import logging
 import math
-import os
 from collections import deque
 from typing import Callable, Deque, Dict, List, Optional, Protocol, Tuple
 
@@ -47,33 +46,10 @@ __all__ = [
     "Station",
     "Medium",
     "rssi_from_distance",
-    "BATCH_ENV",
-    "VECTOR_ENV",
     "BACKLOG_WARN_S",
 ]
 
 logger = logging.getLogger(__name__)
-
-#: Environment variable disabling per-channel delivery batching when set to
-#: ``0``/``off``/``false`` (useful for A/B determinism tests and bisection).
-BATCH_ENV = "REPRO_MEDIUM_BATCH"
-
-#: Environment variable disabling the numpy-backed delivery index (see
-#: :mod:`repro.sim.medium_vec`) when set to ``0``/``off``/``false``.  The
-#: vector path is semantics-preserving, so the toggle exists for A/B
-#: determinism tests, bisection, and perf comparisons — and the medium
-#: falls back to the scalar scan on its own when numpy is not installed.
-VECTOR_ENV = "REPRO_MEDIUM_VECTOR"
-
-
-def _batching_enabled_from_env() -> bool:
-    value = os.environ.get(BATCH_ENV, "").strip().lower()
-    return value not in ("0", "off", "false", "no")
-
-
-def _vector_enabled_from_env() -> bool:
-    value = os.environ.get(VECTOR_ENV, "").strip().lower()
-    return value not in ("0", "off", "false", "no")
 
 #: Frame kinds that enjoy 802.11 link-layer retransmission (data plane).
 _RETRIED_KINDS = frozenset(
@@ -99,9 +75,9 @@ BACKLOG_WARN_S = 1.0
 
 #: Below this many registered stations the scalar scan (with its cached
 #: candidate lists) beats the array round-trip, so the vector index engages
-#: only once the world is dense enough to pay for it.  Both paths are
-#: byte-identical, so the crossover may be chosen — and even crossed
-#: mid-run as stations register — purely on speed.
+#: only once the world is dense enough to pay for it (and numpy is
+#: installed).  Both paths are byte-identical, so the crossover may be
+#: chosen — and even crossed mid-run as stations register — purely on speed.
 VECTOR_MIN_STATIONS = 64
 
 
@@ -160,6 +136,9 @@ class Medium:
         Radio range (disk model); 100 m per the paper.
     loss_rate:
         i.i.d. per-delivery frame-loss probability ``h``.
+    contention:
+        CSMA/CA configuration; ``None`` or a disabled spec keeps the
+        global per-channel FIFO.
     """
 
     def __init__(
@@ -168,10 +147,7 @@ class Medium:
         data_rate_bps: float = 11e6,
         range_m: float = 100.0,
         loss_rate: float = 0.1,
-        batch_delivery: Optional[bool] = None,
-        vector_delivery: Optional[bool] = None,
         contention: Optional[ContentionSpec] = None,
-        contention_vector: Optional[bool] = None,
     ):
         # ``isfinite`` guards are explicit: ``nan`` slips through plain
         # ``<=`` comparisons (every comparison with nan is False) and
@@ -223,9 +199,6 @@ class Medium:
         # frame's true completion time, so back-to-back bursts on a busy
         # channel cost one engine event instead of one per frame while
         # remaining byte-identical to per-frame scheduling.
-        if batch_delivery is None:
-            batch_delivery = _batching_enabled_from_env()
-        self.batch_delivery = bool(batch_delivery)
         # Per-channel [pending deque of (deliver_time, sender_id, frame),
         # drain-event-in-flight flag] — one dict lookup on the transmit
         # hot path covers both.
@@ -254,51 +227,28 @@ class Medium:
         # arrays prune receiver candidates, the exact scalar predicates
         # confirm survivors, and the shared apply loop below consumes the
         # loss stream in registration order — byte-identical results, one
-        # array pass instead of a Python scan.  Created unconditionally so
-        # the counter appears (at zero) in every telemetry export and A/B
-        # runs stay byte-comparable; nondeterministic because its value
-        # reflects the host's installed packages, not the seed.
+        # array pass instead of a Python scan.  Without numpy the index is
+        # absent and the scalar scan runs.  The fallback counter is created
+        # unconditionally so every telemetry export carries it; it is
+        # nondeterministic because its value reflects the host's installed
+        # packages, not the seed.
+        from .medium_vec import make_index
+
         self._obs_vector_fallbacks = sim.telemetry.counter(
             "medium.vector_fallbacks", deterministic=False
         )
-        if vector_delivery is None:
-            vector_delivery = _vector_enabled_from_env()
-        self._vec = None
-        if vector_delivery:
-            from .medium_vec import make_index
-
-            self._vec = make_index(self)
-            if self._vec is None:
-                # numpy missing: graceful scalar fallback, surfaced only
-                # through the obs counter (per-Medium, so one per world).
-                self._obs_vector_fallbacks.inc()
-        self.vector_delivery = self._vec is not None
+        self._vec = make_index(self)
+        if self._vec is None:
+            self._obs_vector_fallbacks.inc()
         # CSMA/CA contention with per-cell spatial reuse (see
         # repro.sim.contention).  Built last: the state machine reuses the
         # spatial binning configured above.  ``None`` and a disabled spec
         # are byte-identical — the state (and its dedicated RNG stream)
-        # only exists when the model is actually on.  The array-backed
-        # state (repro.sim.contention_vec) is picked unless
-        # REPRO_CONTENTION_VECTOR (or the explicit ``contention_vector``
-        # argument) pins the scalar one; like the delivery index, the
-        # fallback counter is created unconditionally and flagged
-        # nondeterministic (it reflects installed packages, not the seed).
-        self._obs_contention_fallbacks = sim.telemetry.counter(
-            "contention.vector_fallbacks", deterministic=False
-        )
+        # only exists when the model is actually on.
         self.contention_spec = contention
         self.contention: Optional[ContentionState] = None
-        self.vector_contention = False
         if contention is not None and contention.enabled:
-            from .contention_vec import make_contention_state
-
-            state, fell_back = make_contention_state(
-                self, contention, contention_vector
-            )
-            if fell_back:
-                self._obs_contention_fallbacks.inc()
-            self.contention = state
-            self.vector_contention = state.is_vector
+            self.contention = ContentionState(self, contention)
         #: Frames destroyed by hidden-terminal collisions (contention mode
         #: only; mirrored by the ``contention.collisions`` obs counter).
         self.frames_collided = 0
@@ -326,6 +276,11 @@ class Medium:
         # property, and a re-registered sender id must not restart at a
         # generation an orphaned event might still carry.
         self._tx_gen: Dict[str, int] = {}
+
+    @property
+    def vector_delivery(self) -> bool:
+        """True when the array-backed delivery index exists (numpy installed)."""
+        return self._vec is not None
 
     # ------------------------------------------------------------------
     def _cell_of(self, channel: int, x: float, y: float) -> Tuple[int, int, int]:
@@ -553,9 +508,6 @@ class Medium:
         if start > now:
             self._note_backlog(channel, start - now)
         deliver_at = done + PROPAGATION_DELAY_S
-        if not self.batch_delivery:
-            self.sim.schedule_fire(deliver_at, self._deliver, sender.station_id, frame)
-            return done
         state = self._chan_state.get(channel)
         if state is None:
             state = self._chan_state[channel] = [deque(), False]
@@ -563,7 +515,7 @@ class Medium:
         if not state[1]:
             # The drain event is scheduled eagerly at transmit time so its
             # heap position (and hence same-instant tie-breaking) matches
-            # the per-frame event the unbatched path would have created.
+            # the per-frame event a one-event-per-frame medium would create.
             state[1] = True
             self.sim.schedule_fire(deliver_at, self._drain, channel)
         return done

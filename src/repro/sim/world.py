@@ -140,7 +140,6 @@ class World:
         wired_latency_s: float = DEFAULT_WIRED_LATENCY_S,
         transport: Optional[TransportSpec] = None,
         contention: Optional[ContentionSpec] = None,
-        contention_vector: Optional[bool] = None,
     ):
         self.sim = sim
         self.medium = Medium(
@@ -149,7 +148,6 @@ class World:
             range_m=range_m,
             loss_rate=loss_rate,
             contention=contention,
-            contention_vector=contention_vector,
         )
         self.wired_latency_s = wired_latency_s
         #: World-wide transport defaults (CC selection, AP splitting, TCP

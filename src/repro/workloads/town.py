@@ -147,7 +147,6 @@ def build_town(
     preset: Optional[str] = None,
     transport: Optional[TransportSpec] = None,
     contention: Optional[ContentionSpec] = None,
-    contention_vector: Optional[bool] = None,
 ) -> TownInstance:
     """Instantiate a town into a fresh :class:`World`.
 
@@ -155,9 +154,7 @@ def build_town(
     the same seed reproduces the same town exactly.  ``transport`` sets the
     world-wide CC/split selection (None keeps the historical Reno default);
     ``contention`` enables the CSMA/CA multi-cell MAC (None keeps the
-    global per-channel FIFO); ``contention_vector`` pins the scalar or
-    array-backed contention state (None defers to
-    ``REPRO_CONTENTION_VECTOR``) — the two are byte-identical either way.
+    global per-channel FIFO).
     """
     if config is not None and preset is not None:
         raise ValueError("pass either config or preset, not both")
@@ -171,7 +168,6 @@ def build_town(
         wired_latency_s=config.wired_latency_s,
         transport=transport,
         contention=contention,
-        contention_vector=contention_vector,
     )
     rng = sim.rng("town.placement")
     channels = sorted(config.channel_mix)

@@ -1,98 +1,49 @@
-"""Batched vs unbatched hot paths must agree bit-for-bit.
+"""Frame-event batching and fleet sharding must not change a single bit.
 
 The PR-3 tentpole (frame-event batching, TCP segment coalescing, open-bin
 recorder arithmetic, fleet sharding) is only admissible because it is
-semantics-preserving: every metric the experiments report must be
-bit-identical to the unbatched path.  These tests run whole town trials —
-with and without fault plans — under both implementations and compare the
-full metric surface; ``events_processed`` is deliberately excluded (the
-batched path accounts logical events, so totals match only modulo no-op
-timer fires, which is the one documented divergence).
+semantics-preserving.  The batched medium's four reference drives —
+Spider single- and multi-channel, the stock driver, and a fault plan —
+are checked against the committed golden fingerprints
+(``tests/goldens.json``); sharded fleets are compared with a single
+process.
 """
 
 from __future__ import annotations
 
 import pytest
 
+import test_goldens
 from repro.core.schedule import OperationMode
 from repro.experiments.common import run_town_trial
 from repro.experiments.fleet import _run_fleet, run_sharded_trial
-from repro.experiments.town_runs import spider_factory, stock_factory
-from repro.sim.faults import ApFlap, DhcpStall, FaultPlan, RandomOutages
-from repro.sim.radio import BATCH_ENV
-
-TRIAL_S = 90.0
+from repro.experiments.town_runs import spider_factory
 
 
-def _fingerprint(metrics):
-    """Everything a trial reports, minus the event counter."""
-    return {
-        "throughput": metrics.average_throughput_kBps,
-        "connectivity": metrics.connectivity_pct,
-        "connections": metrics.connection_durations_s,
-        "disruptions": metrics.disruption_durations_s,
-        "instantaneous": metrics.instantaneous_kBps,
-        "links": metrics.links_established,
-        "joins": [
-            (
-                a.bssid,
-                a.channel,
-                a.started_at,
-                a.associated,
-                a.leased,
-                a.verified,
-                a.join_time_s,
-            )
-            for a in metrics.join_log.attempts
-        ],
-    }
-
-
-def _trial(monkeypatch, batch, factory, seed=0, faults=None):
-    monkeypatch.setenv(BATCH_ENV, "1" if batch else "0")
-    return run_town_trial(
-        factory, "det", seed=seed, duration_s=TRIAL_S, faults=faults
-    )
+def _assert_golden(name):
+    assert test_goldens.CASES[name]() == test_goldens.load_goldens()[name]
 
 
 class TestBatchedBitIdentity:
-    def test_spider_single_channel(self, monkeypatch):
-        factory = spider_factory(OperationMode.single_channel(1), 7)
-        a = _fingerprint(_trial(monkeypatch, False, factory))
-        b = _fingerprint(_trial(monkeypatch, True, factory))
-        assert a == b
+    def test_spider_single_channel(self):
+        _assert_golden("drive_spider_single_channel")
 
-    def test_spider_multi_channel(self, monkeypatch):
-        factory = spider_factory(OperationMode.equal_split((1, 6, 11), 0.6), 4)
-        a = _fingerprint(_trial(monkeypatch, False, factory, seed=3))
-        b = _fingerprint(_trial(monkeypatch, True, factory, seed=3))
-        assert a == b
+    def test_spider_multi_channel(self):
+        _assert_golden("drive_spider_multi_channel")
 
-    def test_stock_client(self, monkeypatch):
-        a = _fingerprint(_trial(monkeypatch, False, stock_factory(), seed=1))
-        b = _fingerprint(_trial(monkeypatch, True, stock_factory(), seed=1))
-        assert a == b
+    def test_stock_client(self):
+        _assert_golden("drive_stock")
 
-    def test_under_fault_plan(self, monkeypatch):
+    def test_under_fault_plan(self):
         """Fault-driven state changes land between queued deliveries; the
-        horizon logic must still replay the exact unbatched interleaving."""
-        plan = FaultPlan(
-            events=(
-                ApFlap(start_s=10.0, count=3, down_s=4.0, up_s=6.0),
-                DhcpStall(at_s=25.0, duration_s=10.0),
-                RandomOutages(start_s=0.0, end_s=TRIAL_S, rate_per_min=2.0),
-            )
-        )
-        factory = spider_factory(OperationMode.single_channel(1), 7)
-        a = _fingerprint(_trial(monkeypatch, False, factory, seed=2, faults=plan))
-        b = _fingerprint(_trial(monkeypatch, True, factory, seed=2, faults=plan))
-        assert a == b
+        horizon logic must still replay the exact per-frame interleaving."""
+        _assert_golden("drive_fault_plan")
 
-    def test_batched_path_is_deterministic(self, monkeypatch):
+    def test_batched_path_is_deterministic(self):
         factory = spider_factory(OperationMode.single_channel(1), 7)
-        a = _fingerprint(_trial(monkeypatch, True, factory, seed=8))
-        b = _fingerprint(_trial(monkeypatch, True, factory, seed=8))
-        assert a == b
+        a = run_town_trial(factory, "det", seed=8, duration_s=test_goldens.DRIVE_S)
+        b = run_town_trial(factory, "det", seed=8, duration_s=test_goldens.DRIVE_S)
+        assert test_goldens.digest(a) == test_goldens.digest(b)
 
 
 class TestShardedFleetBitIdentity:

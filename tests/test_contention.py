@@ -55,19 +55,9 @@ def mgmt_frame(src, dst, channel=1, kind=FrameKind.AUTH_REQUEST, size=80):
     return Frame(kind=kind, src=src, dst=dst, size=size, channel=channel)
 
 
-def contended_medium(sim, spec=None, loss_rate=0.0, contention_vector=None):
-    """A contended medium on whichever contention state the env picks.
-
-    The suite runs unchanged against the scalar and array-backed states
-    (CI's ``tier1-scalar`` job pins ``REPRO_CONTENTION_VECTOR=0``); tests
-    that poke scalar internals pin ``contention_vector=False``.
-    """
-    return Medium(
-        sim,
-        loss_rate=loss_rate,
-        contention=spec or ContentionSpec(),
-        contention_vector=contention_vector,
-    )
+def contended_medium(sim, spec=None, loss_rate=0.0):
+    """A medium with the CSMA/CA model on."""
+    return Medium(sim, loss_rate=loss_rate, contention=spec or ContentionSpec())
 
 
 @pytest.fixture
@@ -186,7 +176,7 @@ class TestCarrierSense:
         assert len(ra.received) == 1 and len(rb.received) == 1
 
     def test_adjacent_cell_sensed_but_only_own_cell_marked(self, sim):
-        medium = contended_medium(sim, contention_vector=False)
+        medium = contended_medium(sim)
         state = medium.contention
         granted, start, done = state.acquire("a", 1, 50.0, 0.0, 0.01)
         assert granted
@@ -194,13 +184,14 @@ class TestCarrierSense:
         granted2, retry_at, _ = state.acquire("b", 1, 150.0, 0.0, 0.01)
         assert not granted2
         assert retry_at >= done
-        # ...but only the sender's own cell carries the busy horizon.
-        assert state._busy.get((1, 0, 0), 0.0) == done
-        assert (1, 1, 0) not in state._busy
+        # ...but the horizon it sensed is not its own: had the deferral
+        # (or the booking) marked cell 1, cell 2 would now hear it too.
+        assert state._sense(1, 2, 0) == 0.0
+        granted3, _, _ = state.acquire("c", 1, 250.0, 0.0, 0.01)
+        assert granted3
 
     def test_sense_matches_scalar_neighbourhood_semantics(self, sim):
-        # Same sensed horizons on whichever state the env picked: a
-        # booking is heard one cell away but not two.
+        # A booking is heard one cell away but not two.
         medium = contended_medium(sim)
         state = medium.contention
         granted, _start, done = state.acquire("a", 1, 50.0, 0.0, 0.01)
@@ -367,7 +358,7 @@ class TestNicQueue:
         # 1 ms slots stretch data backoff well past the mgmt frame's
         # turnaround; cw_mgmt=1 makes the mgmt grant time deterministic.
         spec = ContentionSpec(slot_time_s=1e-3, cw_mgmt=1)
-        medium = contended_medium(sim, spec=spec, contention_vector=False)
+        medium = contended_medium(sim, spec=spec)
         p = FakeStation("p", x=250.0)  # two cells away: hidden from cell 0
         o = FakeStation("o", x=10.0)
         a = FakeStation("a", x=12.0)
@@ -378,7 +369,7 @@ class TestNicQueue:
         medium.transmit(p, data_frame("p", "pz", size=700000))
         # ...while o holds the near cell, so a's data head defers there.
         medium.transmit(o, data_frame("o", "orx", size=5500))
-        t1 = medium.contention._busy[(1, 0, 0)]  # o's flight end
+        t1 = medium.contention._sense(1, 0, 0)  # o's flight end
         d = data_frame("a", "rx", size=500)
         medium.transmit(a, d)
         # The handshake preempts the deferring head: d re-queues, and the

@@ -1,39 +1,99 @@
-"""Array-backed contention state: toggle, fallback, and byte-identity.
+"""The CSMA/CA state against a dict-walk reference, unit to trial scale.
 
-The PR-10 tentpole (:mod:`repro.sim.contention_vec`) is only admissible
-because it is semantics-preserving: every grant, deferral, backoff draw,
-collision, and deterministic telemetry counter must match the scalar
-:class:`~repro.sim.contention.ContentionState` bit for bit.  These tests
-pin the unit contract (env decode, numpy fallback and its obs counter,
-sense/interference equivalence on hand-built geometries including the
-capture boundary), the O(channels) ``busy_until`` regression, and the
-trial-scale contract: hypothesis-driven contended dense-town runs whose
-results *and* deterministic telemetry exports are compared byte for byte
-across the scalar and vector paths.
+:class:`~repro.sim.contention.ContentionState` keeps carrier sense in a
+per-channel grid of sensed horizons and screens each receiver cell's
+flights once per delivery.  Both are data-structure choices that must be
+invisible: every grant, deferral, backoff draw, collision and
+deterministic telemetry counter has to match the straightforward model —
+a 3x3 dict walk per sense and a full flight-list walk per receiver — bit
+for bit.  :class:`ReferenceContentionState` is that straightforward model,
+kept here as a test-only oracle; tests install it by monkeypatching
+``repro.sim.radio.ContentionState``, the name the medium builds its state
+through.
+
+The reference runs are also run without numpy (the scalar medium), so the
+trial-scale comparisons cover the whole pure-Python platform path against
+the default one.
 """
 
 from __future__ import annotations
 
 import json
 import math
-import os
 from contextlib import contextmanager
+from dataclasses import replace
 
 import pytest
 
-from repro.obs.telemetry import Telemetry
-from repro.sim import contention_vec
+from repro.sim import medium_vec, radio
 from repro.sim.contention import ContentionSpec, ContentionState
-from repro.sim.contention_vec import (
-    CONTENTION_VECTOR_ENV,
-    VEC_MIN_FLIGHTS,
-    ContentionVecState,
-    make_contention_state,
-    vector_contention_enabled,
-)
 from repro.sim.engine import Simulator
 from repro.sim.frames import Frame, FrameKind
 from repro.sim.radio import Medium
+
+
+class ReferenceContentionState(ContentionState):
+    """The dict-walk CSMA/CA state: 9-key sense, own-cell booking dict,
+    and a per-receiver walk over the cell's whole flight list."""
+
+    def __init__(self, medium, spec):
+        super().__init__(medium, spec)
+        #: (channel, cx, cy) -> absolute time the cell's air frees up.
+        self._busy = {}
+        #: channel -> latest ``done`` ever booked.
+        self._chan_horizon = {}
+
+    def _sense(self, channel, cx, cy):
+        busy = self._busy
+        sensed = 0.0
+        for nx in (cx - 1, cx, cx + 1):
+            for ny in (cy - 1, cy, cy + 1):
+                t = busy.get((channel, nx, ny), 0.0)
+                if t > sensed:
+                    sensed = t
+        return sensed
+
+    def _book(self, channel, cx, cy, done):
+        own = (channel, cx, cy)
+        if self._busy.get(own, 0.0) < done:
+            self._busy[own] = done
+        if done > self._chan_horizon.get(channel, 0.0):
+            self._chan_horizon[channel] = done
+
+    def busy_until(self, channel):
+        return self._chan_horizon.get(channel, 0.0)
+
+    def interfered_rows(self, sender_id, channel, rows, start, done):
+        return [
+            self.interfered(sender_id, channel, row[4], row[5], start, done, row[6])
+            for row in rows
+        ]
+
+    def _interfered(self, sender_id, channel, rx, ry, start, done, sender_distance):
+        bin_m = self._bin_m
+        flights = self._inflight.get((channel, int(rx // bin_m), int(ry // bin_m)))
+        if not flights:
+            return False
+        reach = min(self.medium.range_m, self.spec.capture_ratio * sender_distance)
+        for f_start, f_end, f_sender, f_x, f_y in flights:
+            if (
+                f_sender != sender_id
+                and f_start < done
+                and start < f_end
+                and math.hypot(rx - f_x, ry - f_y) <= reach
+            ):
+                return True
+        return False
+
+
+@contextmanager
+def reference_paths(reference):
+    """With ``reference``, build media on the oracle state and without numpy."""
+    with pytest.MonkeyPatch.context() as mp:
+        if reference:
+            mp.setattr(radio, "ContentionState", ReferenceContentionState)
+            mp.setattr(medium_vec, "_np", None)
+        yield
 
 
 def data_frame(src, dst, channel=1, size=1452):
@@ -64,176 +124,79 @@ class FakeStation:
         self.failed.append(frame.src)
 
 
-def contended_medium(sim, contention_vector=None, loss_rate=0.0):
-    return Medium(
-        sim,
-        loss_rate=loss_rate,
-        contention=ContentionSpec(),
-        contention_vector=contention_vector,
-    )
+def contended_medium(sim, reference=False, loss_rate=0.0):
+    with reference_paths(reference):
+        return Medium(sim, loss_rate=loss_rate, contention=ContentionSpec())
 
 
-class TestEnvToggle:
-    def test_default_is_on(self):
-        assert vector_contention_enabled(None) is True
-
-    @pytest.mark.parametrize("token", ["0", "off", "OFF", "false", "no", " 0 "])
-    def test_falsey_tokens_disable(self, token):
-        assert vector_contention_enabled(token) is False
-
-    @pytest.mark.parametrize("token", ["1", "on", "true", "yes", "", "anything"])
-    def test_other_tokens_enable(self, token):
-        assert vector_contention_enabled(token) is True
+def test_reference_is_installed_through_the_radio_module():
+    with reference_paths(True):
+        medium = Medium(Simulator(seed=0), contention=ContentionSpec())
+    assert type(medium.contention) is ReferenceContentionState
+    medium = Medium(Simulator(seed=0), contention=ContentionSpec())
+    assert type(medium.contention) is ContentionState
 
 
-class TestMakeContentionState:
-    def _medium(self):
-        sim = Simulator(seed=7)
-        return Medium(sim, contention=ContentionSpec())
-
-    def test_pinned_scalar(self):
-        state, fell_back = make_contention_state(
-            self._medium(), ContentionSpec(), vector=False
-        )
-        assert type(state) is ContentionState
-        assert not state.is_vector
-        assert not fell_back
-
-    @pytest.mark.skipif(
-        contention_vec._np is None, reason="vector state requires numpy"
-    )
-    def test_pinned_vector(self):
-        state, fell_back = make_contention_state(
-            self._medium(), ContentionSpec(), vector=True
-        )
-        assert isinstance(state, ContentionVecState)
-        assert state.is_vector
-        assert not fell_back
-
-    def test_env_off_pins_scalar(self, monkeypatch):
-        monkeypatch.setenv(CONTENTION_VECTOR_ENV, "0")
-        state, fell_back = make_contention_state(self._medium(), ContentionSpec())
-        assert type(state) is ContentionState
-        assert not fell_back
-
-    def test_missing_numpy_falls_back(self, monkeypatch):
-        monkeypatch.setattr(contention_vec, "_np", None)
-        state, fell_back = make_contention_state(
-            self._medium(), ContentionSpec(), vector=True
-        )
-        assert type(state) is ContentionState
-        assert fell_back
-
-    def test_missing_numpy_scalar_pin_is_not_a_fallback(self, monkeypatch):
-        monkeypatch.setattr(contention_vec, "_np", None)
-        state, fell_back = make_contention_state(
-            self._medium(), ContentionSpec(), vector=False
-        )
-        assert not fell_back
-
-
-class TestFallbackCounter:
-    def test_fallback_counted_on_medium(self, monkeypatch):
-        monkeypatch.setattr(contention_vec, "_np", None)
-        tele = Telemetry(enabled=True, key=("cv-fallback",))
-        sim = Simulator(seed=0, telemetry=tele)
-        medium = contended_medium(sim, contention_vector=True)
-        assert medium.vector_contention is False
-        assert tele.counter("contention.vector_fallbacks").value == 1
-
-    @pytest.mark.skipif(
-        contention_vec._np is None, reason="vector state requires numpy"
-    )
-    def test_no_fallback_with_numpy(self):
-        tele = Telemetry(enabled=True, key=("cv-ok",))
-        sim = Simulator(seed=0, telemetry=tele)
-        medium = contended_medium(sim, contention_vector=True)
-        assert medium.vector_contention is True
-        assert tele.counter("contention.vector_fallbacks").value == 0
-
-    def test_fallback_counter_is_not_deterministic(self, monkeypatch):
-        """The fallback count depends on the host (numpy present or not),
-        so it must be excluded from the deterministic projection."""
-        monkeypatch.setattr(contention_vec, "_np", None)
-        tele = Telemetry(enabled=True, key=("cv-det",))
-        sim = Simulator(seed=0, telemetry=tele)
-        contended_medium(sim, contention_vector=True)
-        det = tele.snapshot().deterministic()
-        names = {name for name, _ in det.counters}
-        assert "contention.vector_fallbacks" not in names
-
-
-needs_numpy = pytest.mark.skipif(
-    contention_vec._np is None, reason="vector state requires numpy"
-)
-
-
-@needs_numpy
 class TestSenseGridEquivalence:
-    """Hand-built geometry: grids and dicts must sense the same air."""
+    """Hand-built geometry: grid and dict walk must sense the same air."""
 
     def _states(self):
-        states = []
-        for vector in (False, True):
-            sim = Simulator(seed=3)
-            medium = contended_medium(sim, contention_vector=vector)
-            states.append(medium.contention)
-        return states
+        return [
+            contended_medium(Simulator(seed=3), reference=reference).contention
+            for reference in (True, False)
+        ]
 
     def test_booked_neighbourhood_senses_identically(self):
-        scalar, vector = self._states()
+        reference, state = self._states()
         bookings = [(1, 50.0, 0.0, 0.011), (1, 350.0, 0.0, 0.007), (6, 50.0, 0.0, 0.02)]
         for channel, x, y, airtime in bookings:
-            for state in (scalar, vector):
-                granted, start, done = state.acquire("s", channel, x, y, airtime)
+            for each in (reference, state):
+                granted, start, done = each.acquire("s", channel, x, y, airtime)
                 assert granted
         for channel in (1, 6, 11):
             for cx in range(-2, 8):
                 for cy in range(-2, 3):
-                    assert scalar._sense(channel, cx, cy) == vector._sense(
+                    assert reference._sense(channel, cx, cy) == state._sense(
                         channel, cx, cy
                     ), (channel, cx, cy)
-            assert scalar.busy_until(channel) == vector.busy_until(channel)
+            assert reference.busy_until(channel) == state.busy_until(channel)
 
     def test_grid_growth_preserves_bookings(self):
-        _, vector = self._states()
+        _, state = self._states()
         # Book far apart so the channel grid must regrow, then re-sense
         # the original cell: growth must preserve the propagated max.
-        granted, _, done_a = vector.acquire("a", 1, 0.0, 0.0, 0.01)
+        granted, _, done_a = state.acquire("a", 1, 0.0, 0.0, 0.01)
         assert granted
-        granted, _, done_b = vector.acquire("b", 1, 5000.0, 5000.0, 0.02)
+        granted, _, done_b = state.acquire("b", 1, 5000.0, 5000.0, 0.02)
         assert granted
-        assert vector._sense(1, 0, 0) == done_a
-        assert vector._sense(1, 50, 50) == done_b
-        assert vector.busy_until(1) == max(done_a, done_b)
+        assert state._sense(1, 0, 0) == done_a
+        assert state._sense(1, 50, 50) == done_b
+        assert state.busy_until(1) == max(done_a, done_b)
 
     def test_sense_returns_python_floats(self):
-        _, vector = self._states()
-        vector.acquire("a", 1, 0.0, 0.0, 0.01)
-        sensed = vector._sense(1, 0, 0)
-        assert type(sensed) is float  # np.float64 must never leak out
+        _, state = self._states()
+        state.acquire("a", 1, 0.0, 0.0, 0.01)
+        sensed = state._sense(1, 0, 0)
+        assert type(sensed) is float
 
 
-@needs_numpy
 class TestInterferenceEquivalence:
-    """The capture-bound prefilter must agree with the exact scalar scan,
-    including exactly on the capture boundary."""
+    """The screened scan must agree with the full flight walk, including
+    exactly on the capture boundary."""
 
     def _states(self, flights):
         states = []
-        for vector in (False, True):
-            sim = Simulator(seed=5)
-            medium = contended_medium(sim, contention_vector=vector)
-            state = medium.contention
+        for reference in (True, False):
+            state = contended_medium(Simulator(seed=5), reference=reference).contention
             for cell, cell_flights in flights.items():
                 state._inflight[cell] = list(cell_flights)
             states.append(state)
         return states
 
     def _agree(self, states, sender_id, channel, rx, ry, start, done, distance):
-        scalar, vector = states
-        a = scalar.interfered(sender_id, channel, rx, ry, start, done, distance)
-        b = vector.interfered(sender_id, channel, rx, ry, start, done, distance)
+        reference, state = states
+        a = reference.interfered(sender_id, channel, rx, ry, start, done, distance)
+        b = state.interfered(sender_id, channel, rx, ry, start, done, distance)
         assert a == b, (rx, ry, distance)
         return a
 
@@ -269,75 +232,63 @@ class TestInterferenceEquivalence:
         states = self._states({(1, 0, 0): flights})
         assert self._agree(states, "s", 1, 0.0, 0.0, 0.0, 0.0015, 40.0) is False
 
-    def test_numpy_path_engages_and_agrees(self):
-        # Enough overlapping foreign flights to cross VEC_MIN_FLIGHTS:
-        # the vector state screens with arrays, the scalar state walks —
-        # answers must agree for receivers straddling the reach boundary.
-        n = VEC_MIN_FLIGHTS + 4
-        flights = [
-            (0.0, 0.001, f"f{i}", 200.0 + 3.0 * i, 0.0) for i in range(n)
-        ]
-        states = self._states({(1, 2, 0): flights})
-        scalar, vector = states
+    def test_crowded_cell_agrees(self):
+        # Sixteen overlapping foreign flights in one cell: answers must
+        # agree for receivers straddling the reach boundary.
+        flights = [(0.0, 0.001, f"f{i}", 200.0 + 3.0 * i, 0.0) for i in range(16)]
+        reference, state = self._states({(1, 2, 0): flights})
         for rx in (200.0, 230.0, 260.0, 290.0):
-            a = scalar.interfered("s", 1, rx, 0.0, 0.0, 0.0005, 38.0)
-            b = vector.interfered("s", 1, rx, 0.0, 0.0, 0.0005, 38.0)
+            a = reference.interfered("s", 1, rx, 0.0, 0.0, 0.0005, 38.0)
+            b = state.interfered("s", 1, rx, 0.0, 0.0, 0.0005, 38.0)
             assert a == b, rx
 
     def test_interfered_rows_matches_single_calls(self):
-        n = VEC_MIN_FLIGHTS + 4
-        flights = [
-            (0.0, 0.001, f"f{i}", 200.0 + 3.0 * i, 0.0) for i in range(n)
-        ]
-        states = self._states({(1, 2, 0): flights})
+        flights = [(0.0, 0.001, f"f{i}", 200.0 + 3.0 * i, 0.0) for i in range(16)]
         rows = [
             (i, None, -50.0, False, rx, 0.0, d)
             for i, (rx, d) in enumerate(
-                [(205.0, 10.0), (230.0, 38.0), (260.0, 38.0), (295.0, 90.0)]
+                [(205.0, 10.0), (230.0, 38.0), (260.0, 38.0), (295.0, 90.0), (290.0, 4.0)]
             )
         ]
-        for state in states:
+        answers = []
+        for state in self._states({(1, 2, 0): flights}):
             batched = state.interfered_rows("s", 1, rows, 0.0, 0.0005)
             singles = [
                 state.interfered("s", 1, r[4], r[5], 0.0, 0.0005, r[6])
                 for r in rows
             ]
             assert batched == singles
+            answers.append(batched)
+        assert answers[0] == answers[1]
+        assert True in answers[0] and False in answers[0]
 
 
 class TestBusyUntilComplexity:
-    class _NoIterDict(dict):
-        """A _busy stand-in that forbids whole-table walks."""
+    class _NoIterList(list):
+        """A grid row store that forbids reads."""
 
-        def values(self):  # pragma: no cover - the assertion is the point
-            raise AssertionError("busy_until must not walk _busy")
+        def __iter__(self):  # pragma: no cover - the assertion is the point
+            raise AssertionError("busy_until must not walk the grid")
 
-        def items(self):  # pragma: no cover
-            raise AssertionError("busy_until must not walk _busy")
-
-        def __iter__(self):  # pragma: no cover
-            raise AssertionError("busy_until must not walk _busy")
+        def __getitem__(self, index):  # pragma: no cover
+            raise AssertionError("busy_until must not walk the grid")
 
     def test_scalar_busy_until_is_o_channels(self):
-        sim = Simulator(seed=9)
-        medium = contended_medium(sim, contention_vector=False)
-        state = medium.contention
+        state = contended_medium(Simulator(seed=9)).contention
         dones = []
         for i in range(40):
             granted, _, done = state.acquire(f"s{i}", 1, 1000.0 * i, 0.0, 0.01 + i * 1e-4)
             assert granted
             dones.append(done)
-        state._busy = self._NoIterDict(state._busy)
+        for grid in state._grids.values():
+            grid.rows = self._NoIterList(grid.rows)
         assert state.busy_until(1) == max(dones)
         assert state.busy_until(6) == 0.0
 
-    @needs_numpy
-    def test_vector_busy_until_matches_scalar(self):
+    def test_busy_until_matches_reference(self):
         results = []
-        for vector in (False, True):
-            sim = Simulator(seed=9)
-            medium = contended_medium(sim, contention_vector=vector)
-            state = medium.contention
+        for reference in (True, False):
+            state = contended_medium(Simulator(seed=9), reference=reference).contention
             for i in range(10):
                 state.acquire(f"s{i}", 1, 400.0 * i, 0.0, 0.005)
                 state.acquire(f"m{i}", 6, 400.0 * i, 0.0, 0.002)
@@ -345,17 +296,16 @@ class TestBusyUntilComplexity:
         assert results[0] == results[1]
 
 
-@needs_numpy
 class TestEndToEndTraceEquality:
-    """Whole contended runs on hand-built worlds, scalar vs vector."""
+    """Whole contended runs on hand-built worlds, reference vs real state."""
 
-    def _run(self, vector, loss_rate=0.3, seed=11):
+    def _run(self, reference, loss_rate=0.3, seed=11):
         sim = Simulator(seed=seed)
-        medium = contended_medium(sim, contention_vector=vector, loss_rate=loss_rate)
+        medium = contended_medium(sim, reference=reference, loss_rate=loss_rate)
         stations = []
         # A corridor of cells with hidden-terminal geometry plus two
         # bystander receivers per cell — enough traffic to defer, carry
-        # flights, and wipe receivers on both paths.
+        # flights, and wipe receivers in both states.
         for i in range(6):
             x = 95.0 + 105.0 * i
             stations.append(FakeStation(f"tx{i}", x=x))
@@ -382,18 +332,16 @@ class TestEndToEndTraceEquality:
         )
 
     def test_traces_identical(self):
-        assert self._run(False) == self._run(True)
+        assert self._run(True) == self._run(False)
 
     def test_traces_identical_lossless(self):
-        assert self._run(False, loss_rate=0.0, seed=4) == self._run(
-            True, loss_rate=0.0, seed=4
+        assert self._run(True, loss_rate=0.0, seed=4) == self._run(
+            False, loss_rate=0.0, seed=4
         )
 
 
 # ----------------------------------------------------------------------
-# Trial scale: whole contended town drives, scalar vs array-backed state.
-
-from dataclasses import replace  # noqa: E402
+# Trial scale: whole contended town drives, reference vs real state.
 
 from hypothesis import HealthCheck, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
@@ -403,35 +351,12 @@ from repro.experiments.api import to_jsonable  # noqa: E402
 from repro.experiments.common import TownTrialSpec, run_town_trial_spec  # noqa: E402
 from repro.experiments.dense_town import (  # noqa: E402
     DenseTownSpec,
-    _vector_env,
     run_dense_trial,
     run_spec,
 )
 from repro.experiments.town_runs import spider_factory  # noqa: E402
 from repro.obs.export import build_payload, collect_snapshots  # noqa: E402
-from repro.sim import radio  # noqa: E402
 from repro.sim.faults import ApFlap, DhcpStall, FaultPlan, RandomOutages  # noqa: E402
-
-
-@contextmanager
-def _both_paths_env(vector):
-    """Pin the medium AND contention path envs for one trial body.
-
-    ``_vector_env`` covers ``REPRO_MEDIUM_VECTOR`` only; the envelope
-    property runs identical specs (``vector=None``/``contention_vector=
-    None``) both ways so the serialized spec matches byte for byte, which
-    means both toggles must come from the environment.
-    """
-    before = os.environ.get(CONTENTION_VECTOR_ENV)
-    os.environ[CONTENTION_VECTOR_ENV] = "1" if vector else "0"
-    try:
-        with _vector_env(vector):
-            yield
-    finally:
-        if before is None:
-            os.environ.pop(CONTENTION_VECTOR_ENV, None)
-        else:
-            os.environ[CONTENTION_VECTOR_ENV] = before
 
 #: Small-but-contended: dense enough that flights stack, defers fire, and
 #: the vectorized medium engages at the real thresholds, small enough to
@@ -448,25 +373,22 @@ CONTENDED_DENSE = DenseTownSpec(
 
 
 def _dense_pair(spec, seed=0):
-    """One contended dense trial per code path, same seed."""
-    scalar = run_dense_trial(
-        replace(spec, vector=False, contention_vector=False), seed=seed
-    )
-    vector = run_dense_trial(
-        replace(spec, vector=True, contention_vector=True), seed=seed
-    )
-    return scalar, vector
+    """One contended dense trial per state, same seed."""
+    rows = []
+    for reference in (True, False):
+        with reference_paths(reference):
+            rows.append(run_dense_trial(spec, seed=seed))
+    return rows
 
 
-@needs_numpy
 class TestContendedTrialBitIdentity:
     """Dense-town regimes: results AND deterministic telemetry match."""
 
     def _assert_identical(self, spec, seed=0):
-        scalar, vector = _dense_pair(spec, seed=seed)
-        assert scalar == vector  # dataclass equality: bit-for-bit floats
-        assert scalar.telemetry is not None
-        assert scalar.frames_delivered > 0
+        reference, real = _dense_pair(spec, seed=seed)
+        assert reference == real  # dataclass equality: bit-for-bit floats
+        assert reference.telemetry is not None
+        assert reference.frames_delivered > 0
 
     def test_static_fleet(self):
         """Speed 0: every sender re-contends from a frozen position, so
@@ -477,8 +399,8 @@ class TestContendedTrialBitIdentity:
         self._assert_identical(CONTENDED_DENSE, seed=1)
 
     def test_clustered_lossy_world(self):
-        """Clustered AP drops pile flights into few cells (deep scans on
-        both paths) while loss draws interleave with backoff draws."""
+        """Clustered AP drops pile flights into few cells (deep scans in
+        both states) while loss draws interleave with backoff draws."""
         self._assert_identical(
             replace(CONTENDED_DENSE, clustered=True, loss_rate=0.25), seed=2
         )
@@ -491,14 +413,10 @@ class TestContendedTrialBitIdentity:
         self._assert_identical(replace(CONTENDED_DENSE, loop_length_m=900.0), seed=3)
 
 
-@needs_numpy
 class TestContendedFaultPlanIdentity:
-    """A full fault plan on a contended amherst drive, both paths."""
+    """A full fault plan on a contended amherst drive, both states."""
 
-    def _run(self, monkeypatch, vector):
-        monkeypatch.setenv(radio.VECTOR_ENV, "1" if vector else "0")
-        monkeypatch.setenv(CONTENTION_VECTOR_ENV, "1" if vector else "0")
-        monkeypatch.setattr(radio, "VECTOR_MIN_STATIONS", 0)
+    def _run(self, reference):
         plan = FaultPlan(
             events=(
                 ApFlap(start_s=5.0, count=2, down_s=3.0, up_s=4.0),
@@ -515,23 +433,25 @@ class TestContendedFaultPlanIdentity:
             contention=ContentionSpec(),
             faults=plan,
         )
-        return run_town_trial_spec(spec)
+        with reference_paths(reference):
+            return run_town_trial_spec(spec)
 
     def test_fault_plan_trace_identical(self, monkeypatch):
         import pickle
 
-        scalar = self._run(monkeypatch, False)
-        vector = self._run(monkeypatch, True)
-        assert pickle.dumps(replace(scalar, telemetry=None)) == pickle.dumps(
-            replace(vector, telemetry=None)
+        # Engage the vector index even on this small world.
+        monkeypatch.setattr(radio, "VECTOR_MIN_STATIONS", 0)
+        reference = self._run(True)
+        real = self._run(False)
+        assert pickle.dumps(replace(reference, telemetry=None)) == pickle.dumps(
+            replace(real, telemetry=None)
         )
-        assert scalar.telemetry is not None
-        assert pickle.dumps(scalar.telemetry.deterministic()) == pickle.dumps(
-            vector.telemetry.deterministic()
+        assert reference.telemetry is not None
+        assert pickle.dumps(reference.telemetry.deterministic()) == pickle.dumps(
+            real.telemetry.deterministic()
         )
 
 
-@needs_numpy
 class TestContendedRandomGridProperty:
     """Hypothesis: contended byte-identity over arbitrary dense grids.
 
@@ -570,14 +490,14 @@ class TestContendedRandomGridProperty:
             contention=ContentionSpec(),
         )
         dumps = {}
-        for vector in (False, True):
-            with _both_paths_env(vector):
+        for reference in (True, False):
+            with reference_paths(reference):
                 envelope = run_spec(spec)
             assert envelope.ok
-            dumps[vector] = (
+            dumps[reference] = (
                 json.dumps(to_jsonable(envelope), sort_keys=True).encode(),
                 json.dumps(
                     build_payload(collect_snapshots(envelope.value)), sort_keys=True
                 ).encode(),
             )
-        assert dumps[False] == dumps[True]
+        assert dumps[True] == dumps[False]

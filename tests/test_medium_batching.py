@@ -3,7 +3,7 @@
 PR 3 replaced one engine event per frame with a per-channel queue drained
 from a single event.  These tests pin the queue semantics: delivery order,
 per-frame arrival clocks, the event-horizon stop, the idle-flag reset, and
-the environment toggle that selects the implementation.
+per-channel independence.
 """
 
 from __future__ import annotations
@@ -12,12 +12,7 @@ import pytest
 
 from repro.sim.engine import Simulator
 from repro.sim.frames import Frame, FrameKind
-from repro.sim.radio import (
-    BATCH_ENV,
-    PROPAGATION_DELAY_S,
-    Medium,
-    _batching_enabled_from_env,
-)
+from repro.sim.radio import PROPAGATION_DELAY_S, Medium
 
 
 class RecordingStation:
@@ -47,8 +42,8 @@ def mgmt_frame(src, dst, channel=1, size=80):
     return Frame(kind=FrameKind.BEACON, src=src, dst=dst, size=size, channel=channel)
 
 
-def build(sim, batch):
-    medium = Medium(sim, loss_rate=0.0, batch_delivery=batch)
+def build(sim):
+    medium = Medium(sim, loss_rate=0.0)
     rx = RecordingStation("rx", x=30.0)
     rx.sim = sim
     tx = RecordingStation("tx")
@@ -59,22 +54,9 @@ def build(sim, batch):
 
 
 class TestBatchedDelivery:
-    def test_matches_unbatched_byte_for_byte(self):
-        """Back-to-back frames arrive with identical payloads, RSSI, and clocks."""
-        traces = []
-        for batch in (False, True):
-            sim = Simulator(seed=7)
-            medium, tx, rx = build(sim, batch)
-            for i in range(5):
-                medium.transmit(tx, mgmt_frame("tx", "rx", size=80 + i))
-            sim.run(until=1.0)
-            traces.append(rx.received)
-        assert traces[0] == traces[1]
-        assert len(traces[1]) == 5
-
     def test_delivery_in_completion_time_order(self):
         sim = Simulator(seed=1)
-        medium, tx, rx = build(sim, True)
+        medium, tx, rx = build(sim)
         for i in range(4):
             medium.transmit(tx, mgmt_frame("tx", "rx", size=100))
         sim.run(until=1.0)
@@ -86,7 +68,7 @@ class TestBatchedDelivery:
         """Each queued frame is delivered at its own completion time, not
         the drain event's dispatch time."""
         sim = Simulator(seed=2)
-        medium, tx, rx = build(sim, True)
+        medium, tx, rx = build(sim)
         done_times = [
             medium.transmit(tx, mgmt_frame("tx", "rx")) for _ in range(3)
         ]
@@ -99,7 +81,7 @@ class TestBatchedDelivery:
         """A frame due beyond ``run(until=...)`` stays queued, exactly as a
         per-frame event would stay in the heap."""
         sim = Simulator(seed=3)
-        medium, tx, rx = build(sim, True)
+        medium, tx, rx = build(sim)
         done = medium.transmit(tx, mgmt_frame("tx", "rx"))
         sim.run(until=done / 2)
         assert rx.received == []
@@ -108,7 +90,7 @@ class TestBatchedDelivery:
 
     def test_queue_reschedules_after_going_idle(self):
         sim = Simulator(seed=4)
-        medium, tx, rx = build(sim, True)
+        medium, tx, rx = build(sim)
         medium.transmit(tx, mgmt_frame("tx", "rx"))
         sim.run(until=1.0)
         assert len(rx.received) == 1
@@ -118,7 +100,7 @@ class TestBatchedDelivery:
 
     def test_channels_are_independent_queues(self):
         sim = Simulator(seed=5)
-        medium = Medium(sim, loss_rate=0.0, batch_delivery=True)
+        medium = Medium(sim, loss_rate=0.0)
         stations = {}
         for chan in (1, 6):
             rx = RecordingStation(f"rx{chan}", x=30.0, channel=chan)
@@ -134,19 +116,3 @@ class TestBatchedDelivery:
         for chan, (_tx, rx) in stations.items():
             assert len(rx.received) == 1
 
-
-class TestEnvironmentToggle:
-    def test_default_is_batched(self, monkeypatch):
-        monkeypatch.delenv(BATCH_ENV, raising=False)
-        assert _batching_enabled_from_env()
-        assert Medium(Simulator(seed=0)).batch_delivery
-
-    @pytest.mark.parametrize("value", ["0", "off", "false", "no"])
-    def test_disable_values(self, monkeypatch, value):
-        monkeypatch.setenv(BATCH_ENV, value)
-        assert not _batching_enabled_from_env()
-        assert not Medium(Simulator(seed=0)).batch_delivery
-
-    def test_explicit_argument_wins_over_env(self, monkeypatch):
-        monkeypatch.setenv(BATCH_ENV, "0")
-        assert Medium(Simulator(seed=0), batch_delivery=True).batch_delivery

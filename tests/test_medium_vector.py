@@ -2,13 +2,13 @@
 
 PR 6 added an array-backed candidate prefilter in front of the medium's
 delivery scan.  These tests pin its contract at the unit level: the
-environment toggle that selects the implementation, the graceful scalar
-fallback (and its obs counter) when numpy is missing, the constructor's
-non-finite parameter validation, and — most importantly — byte-identical
-delivery traces between the scalar and vectorized paths across every
+graceful scalar fallback (and its obs counter) when numpy is missing, the
+constructor's non-finite parameter validation, and — most importantly —
+byte-identical delivery traces between the scalar path (numpy hidden, the
+real no-numpy platform path) and the vectorized one across every
 candidate-selection regime (static bins, cached broadcast tables, mobile
 snapshots, the unbounded-mobility escape, and AP fail/recover cycles).
-Whole-trial A/B determinism lives in ``tests/test_vector_determinism``.
+Whole-trial determinism lives in ``tests/test_vector_determinism``.
 """
 
 from __future__ import annotations
@@ -28,11 +28,7 @@ from repro.sim.mobility import (
     StaticPosition,
     VariableSpeedLoopMobility,
 )
-from repro.sim.radio import (
-    VECTOR_ENV,
-    Medium,
-    _vector_enabled_from_env,
-)
+from repro.sim.radio import Medium
 
 
 class RecordingStation:
@@ -97,52 +93,36 @@ def trace_of(stations):
     return {s.station_id: s.received for s in stations}
 
 
-class TestEnvironmentToggle:
-    def test_default_is_vectorized(self, monkeypatch):
-        monkeypatch.delenv(VECTOR_ENV, raising=False)
-        assert _vector_enabled_from_env()
-        assert Medium(Simulator(seed=0)).vector_delivery
-
-    @pytest.mark.parametrize("value", ["0", "off", "false", "no"])
-    def test_disable_values(self, monkeypatch, value):
-        monkeypatch.setenv(VECTOR_ENV, value)
-        assert not _vector_enabled_from_env()
-        assert not Medium(Simulator(seed=0)).vector_delivery
-
-    def test_explicit_argument_wins_over_env(self, monkeypatch):
-        monkeypatch.setenv(VECTOR_ENV, "0")
-        assert Medium(Simulator(seed=0), vector_delivery=True).vector_delivery
-
-
 class TestNumpyFallback:
     def test_make_index_returns_none_without_numpy(self, monkeypatch):
         monkeypatch.setattr(medium_vec, "_np", None)
-        assert make_index(Medium(Simulator(seed=0), vector_delivery=False)) is None
+        assert make_index(Medium(Simulator(seed=0))) is None
 
     def test_medium_falls_back_to_scalar(self, monkeypatch):
         monkeypatch.setattr(medium_vec, "_np", None)
-        medium = Medium(Simulator(seed=0), vector_delivery=True)
+        medium = Medium(Simulator(seed=0))
         assert not medium.vector_delivery
         assert medium._vec is None
 
     def test_fallback_increments_obs_counter(self, monkeypatch):
         monkeypatch.setattr(medium_vec, "_np", None)
         tele = Telemetry(enabled=True)
-        Medium(Simulator(seed=0, telemetry=tele), vector_delivery=True)
+        Medium(Simulator(seed=0, telemetry=tele))
         assert tele.counter("medium.vector_fallbacks").value == 1
 
     def test_counter_stays_zero_when_vector_engages(self):
         pytest.importorskip("numpy")
         tele = Telemetry(enabled=True)
-        medium = Medium(Simulator(seed=0, telemetry=tele), vector_delivery=True)
+        medium = Medium(Simulator(seed=0, telemetry=tele))
         assert medium.vector_delivery
         assert tele.counter("medium.vector_fallbacks").value == 0
 
-    def test_counter_is_nondeterministic(self):
+    def test_counter_is_nondeterministic(self, monkeypatch):
         """The fallback count reflects installed packages, not the seed, so
         it must stay out of the deterministic telemetry projection."""
+        monkeypatch.setattr(medium_vec, "_np", None)
         tele = Telemetry(enabled=True)
-        Medium(Simulator(seed=0, telemetry=tele), vector_delivery=False)
+        Medium(Simulator(seed=0, telemetry=tele))
         names = [name for name, _ in tele.snapshot().counters]
         assert "medium.vector_fallbacks" not in names
 
@@ -189,7 +169,10 @@ class TestVectorScalarEquivalence:
 
     def _run(self, vector, populate, drive, seed=7, loss_rate=0.3):
         sim = Simulator(seed=seed)
-        medium = Medium(sim, loss_rate=loss_rate, vector_delivery=vector)
+        with pytest.MonkeyPatch.context() as mp:
+            if not vector:
+                mp.setattr(medium_vec, "_np", None)
+            medium = Medium(sim, loss_rate=loss_rate)
         stations = populate(sim, medium)
         drive(sim, medium, stations)
         sim.run(until=5.0)

@@ -92,7 +92,38 @@ class TestCompare:
         assert not passed and not regressed
 
 
+class TestVanished:
+    def test_rate_missing_from_current_is_reported(self):
+        assert check.vanished(payload(x=100.0, y=5.0), payload(x=100.0)) == [
+            "y.events_per_sec"
+        ]
+
+    def test_rates_only_in_current_are_not_vanished(self):
+        assert check.vanished(payload(x=100.0), payload(x=100.0, y=5.0)) == []
+
+    def test_speedup_counts_only_when_pinned(self):
+        base = {"results": {"c": {"speedup": 2.0}}}
+        assert check.vanished(base, {"results": {}}) == []
+        assert check.vanished(base, {"results": {}}, {"c.speedup": 0.2}) == [
+            "c.speedup"
+        ]
+
+
 class TestMain:
+    def test_exit_one_when_a_rate_vanishes(self, tmp_path, capsys):
+        base = write(tmp_path, "base.json", payload(x=100.0, y=50.0))
+        cur = write(tmp_path, "cur.json", payload(x=100.0))
+        assert check.main([base, cur]) == 1
+        captured = capsys.readouterr()
+        assert "y.events_per_sec" in captured.out and "MISSING" in captured.out
+        assert "missing" in captured.err
+
+    def test_pinned_gate_that_vanished_is_missing_not_unknown(self, tmp_path, capsys):
+        base = write(tmp_path, "base.json", payload(x=100.0, y=50.0))
+        cur = write(tmp_path, "cur.json", payload(x=100.0))
+        assert check.main([base, cur, "--strict", "y.events_per_sec:0.1"]) == 1
+        assert "MISSING" in capsys.readouterr().out
+
     def test_exit_zero_when_no_regression(self, tmp_path, capsys):
         base = write(tmp_path, "base.json", payload(x=100.0, y=50.0))
         cur = write(tmp_path, "cur.json", payload(x=120.0, y=49.0))
