@@ -23,9 +23,10 @@ Measured workloads:
                          content-addressed result cache, recording the
                          warm-over-cold speedup and byte-identity
 * ``dense_town``       — a 250-vehicle fleet on the >1000-AP ``city``
-                         preset, vectorized vs scalar medium (numpy
-                         hidden), recording events/sec for both, the
-                         speedup, peak RSS, and row bit-equality
+                         preset, the receiver index with and without
+                         numpy (``scalar_*``: numpy hidden), recording
+                         events/sec for both, the speedup, peak RSS, and
+                         row bit-equality
 * ``transport_matrix`` — four cells of the transport grid (Reno/CUBIC/
                          BBR-lite end-to-end plus Reno behind the AP
                          split proxy) on one Spider policy, with the
@@ -395,16 +396,20 @@ def test_perf_cache_warm(report):
 
 
 def test_perf_dense_town(report, monkeypatch):
-    """City-scale dense world: vectorized vs scalar medium, same bits.
+    """City-scale dense world: the receiver index with and without numpy.
 
     The ``city`` preset (>1000 APs) with a 250-vehicle fleet is the
-    workload :mod:`repro.sim.medium_vec` exists for: the scalar delivery
-    scan probes every mobile per frame, so its cost grows with the fleet
-    while the vector path's cached receiver tables stay flat.  The scalar
-    side hides numpy from :mod:`repro.sim.medium_vec`, which is exactly
-    what a host without numpy runs.  The run is a fixed 10 simulated
-    seconds — long enough for snapshot/table caches to amortize (the
-    committed regime for the >= 3x bar), short enough for CI.
+    workload the index's mobile snapshot exists for.  Both sides resolve
+    receivers through :mod:`repro.sim.medium_vec` — cached broadcast
+    plans and a BSSID index — but the ``scalar`` side hides numpy, which
+    is exactly what a host without numpy runs: it tracks each static
+    sender's mobiles with per-sender horizons and checks every mobile on
+    mobile senders' frames, so its cost grows with the fleet while the
+    snapshot's pruned candidate lists stay flat.  The ``scalar_*`` keys
+    keep their names so the regression gate keeps matching baselines.
+    The run is a fixed 10 simulated seconds — long enough for the plans
+    and snapshots to amortize (the committed regime for the >= 3x bar),
+    short enough for CI.
 
     Two paired rounds, asserting on the best ratio: genuine slowdowns
     show up in every round, while container timing noise is round-local
@@ -429,7 +434,7 @@ def test_perf_dense_town(report, monkeypatch):
         t0 = time.perf_counter()
         vector_row = run_dense_trial(spec, seed=0)
         vector_wall = time.perf_counter() - t0
-        assert vector_row == scalar_row, "vector path diverged from scalar"
+        assert vector_row == scalar_row, "numpy snapshot diverged from no-numpy"
         rounds.append((scalar_wall, vector_wall))
     assert vector_row.ap_count >= 1000
     assert vector_row.vehicles >= 50
@@ -452,7 +457,7 @@ def test_perf_dense_town(report, monkeypatch):
     )
     report("perf/dense_town", json.dumps(_PERF["dense_town"], indent=2))
     assert speedup >= 3.0, (
-        f"vectorized medium only {speedup:.2f}x over scalar "
+        f"numpy snapshot only {speedup:.2f}x over the no-numpy index "
         f"({scalar_wall:.2f}s -> {vector_wall:.2f}s)"
     )
 

@@ -5,9 +5,10 @@ fleet; this experiment scales the same coupled dynamics to the ``city``
 town preset (a 10 km core loop with >1000 open APs) and fleets of
 hundreds of vehicles.  It exists for two reasons:
 
-* It is the workload the vectorized medium (:mod:`repro.sim.medium_vec`)
-  is built for — the ``dense_town`` perf bench drives this exact trial
-  with and without numpy and gates their events/sec ratio.
+* It is the workload the receiver index's mobile snapshot
+  (:mod:`repro.sim.medium_vec`) is built for — the ``dense_town`` perf
+  bench drives this exact trial with and without numpy and gates their
+  events/sec ratio.
 * It pins the bit-identity contract at scale: the trial result carries
   only simulation observables (event counts, frame counts, per-vehicle
   throughput/connectivity), so runs of the same spec with and without
@@ -87,8 +88,8 @@ class DenseTownRow:
     """One seed's dense-world drive, in simulation observables only.
 
     Wall-clock metrics live in the perf bench, not here: everything in
-    this row must be a pure function of the spec and seed so that the
-    scalar and vectorized media produce byte-identical results.
+    this row must be a pure function of the spec and seed so that runs
+    with and without numpy produce byte-identical results.
     """
 
     seed: int

@@ -71,7 +71,7 @@ class BackhaulLink:
         start = max(self.sim.now, self._busy_until)
         self._busy_until = start + size_bytes * 8.0 / self.rate_bps
         self.bytes_carried += size_bytes
-        self.sim.schedule_at(self._busy_until + self.latency_s, fn, *args)
+        self.sim.schedule_fire(self._busy_until + self.latency_s, fn, *args)
 
 
 @dataclass
@@ -323,8 +323,8 @@ class AccessPoint:
     # Management replies
     # ------------------------------------------------------------------
     def _reply(self, kind: FrameKind, dst: str, payload=None) -> None:
-        self.sim.schedule(
-            AP_PROC_DELAY_S,
+        self.sim.schedule_fire(
+            self.sim.now + AP_PROC_DELAY_S,
             self.medium.transmit,
             self,
             Frame(
@@ -340,8 +340,8 @@ class AccessPoint:
 
     def _reply_dhcp(self, message: DhcpMessage, delay_s: float) -> None:
         """DHCP answers are never PSM-buffered: off-channel clients miss them."""
-        self.sim.schedule(
-            delay_s,
+        self.sim.schedule_fire(
+            self.sim.now + delay_s,
             self.medium.transmit,
             self,
             Frame(

@@ -160,11 +160,12 @@ class Simulator:
         """Schedule ``fn(*args)`` at ``time`` with no cancellation handle.
 
         The fire-and-forget twin of :meth:`schedule_at`, for hot callers
-        whose events are never cancelled (the radio's contended retries
-        are invalidated by generation tokens, not cancellation): it skips
-        the :class:`EventHandle` allocation and the handle bookkeeping in
-        the dispatch loop, which is measurable at a few hundred thousand
-        schedules per contended city trial.  Dispatch order is identical
+        whose events are never cancelled: the radio's drains and contended
+        retries (invalidated by generation tokens, not cancellation), the
+        AP backhaul links and management replies, and the world's wired
+        legs.  It skips the :class:`EventHandle` allocation and the handle
+        bookkeeping in the dispatch loop, which is measurable at a few
+        hundred thousand schedules per trial.  Dispatch order is identical
         to :meth:`schedule_at` — the heap orders on ``(time, seq)`` alone,
         so swapping one for the other never reorders events.
         """
@@ -437,7 +438,8 @@ class PeriodicProcess:
             return
         self.fn()
         if not self._stopped:
-            self._handle = self.sim.schedule(self.period, self._tick)
+            sim = self.sim
+            self._handle = sim.schedule_at(sim.now + self.period, self._tick)
 
     def stop(self) -> None:
         """Stop the process; pending tick (if any) is cancelled."""

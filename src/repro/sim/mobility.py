@@ -33,10 +33,11 @@ class MobilityModel:
     """Interface: ``position_at(t)`` in metres."""
 
     #: Upper bound on instantaneous speed, m/s, or ``None`` when the model
-    #: declares no bound.  The vectorized medium snapshots mobile positions
-    #: and prunes receivers with a drift allowance of ``max_speed_mps *
-    #: elapsed``; a model without a bound keeps its stations on the exact
-    #: per-delivery scan.  Subclasses must guarantee the bound is a
+    #: declares no bound.  The medium's receiver index skips a station
+    #: until it could first reach a beaconing AP, and snapshots large
+    #: fleets with a drift allowance of ``max_speed_mps * elapsed``; a
+    #: model without a bound keeps its stations on the exact per-delivery
+    #: check.  Subclasses must guarantee the bound is a
     #: Lipschitz constant of ``position_at`` (Euclidean displacement over
     #: ``dt`` never exceeds ``max_speed_mps * dt``).
     max_speed_mps: Optional[float] = None

@@ -73,12 +73,12 @@ PROPAGATION_DELAY_S = 1.0e-6
 #: ``medium.backlog_warnings`` counter (once per channel) and logs.
 BACKLOG_WARN_S = 1.0
 
-#: Below this many registered stations the scalar scan (with its cached
-#: candidate lists) beats the array round-trip, so the vector index engages
-#: only once the world is dense enough to pay for it (and numpy is
-#: installed).  Both paths are byte-identical, so the crossover may be
-#: chosen — and even crossed mid-run as stations register — purely on speed.
-VECTOR_MIN_STATIONS = 64
+#: Station count from which deliveries resolve receivers through
+#: :class:`~repro.sim.medium_vec.VectorIndex`: zero, because every world
+#: does — a per-frame candidate walk measured slower than the index's
+#: cached broadcast plans at every world size, single-vehicle towns
+#: included.  The name stays for readers that compare a world against it.
+VECTOR_MIN_STATIONS = 0
 
 
 def rssi_from_distance(distance_m: float) -> float:
@@ -98,6 +98,15 @@ class Station(Protocol):
     their position *and* tuned channel never change after registration
     (true of access points).  The medium indexes static stations by channel
     and coarse spatial bin so delivery never iterates the whole town.
+
+    A station may also declare ``max_speed_mps``, read when it registers:
+    a finite bound on how fast its position can change (Euclidean
+    displacement over ``dt`` never exceeds ``max_speed_mps * dt``).  The
+    medium trusts a declared bound at every world size — it skips the
+    station on a static sender's broadcasts until the station could first
+    be in range, and large fleets prune receivers with it — so a station
+    that can move faster, or teleport, must declare no bound (absent,
+    ``None`` or ``inf``); it is then checked on every frame.
     """
 
     station_id: str
@@ -169,28 +178,13 @@ class Medium:
         self._stations: Dict[str, Station] = {}
         self._busy_until: Dict[int, float] = {}
         self._rng = sim.rng("medium.loss")
-        # Delivery-path index.  Static stations (APs: fixed position, fixed
-        # channel) are binned by (channel, cell) with cell edge = range_m,
-        # so any in-range static receiver is in the 3x3 neighbourhood of
-        # the sender's cell.  Mobile stations (a handful of vehicles vs.
-        # hundreds of APs) are kept in a flat dict and always probed.
-        # ``_reg_seq`` preserves registration order: candidates are visited
-        # in that order so loss draws and callbacks consume randomness
-        # exactly as the un-indexed implementation did.
         # Optional bursty-loss override (Gilbert–Elliott chain installed by
         # the fault injector).  None means the i.i.d. ``loss_rate`` applies.
         self._bursty = None
+        # Spatial cell edge shared by the receiver index and the contention
+        # state: with edge >= range_m, any in-range station sits in the 3x3
+        # cells around the sender.
         self._bin_m = max(range_m, 1.0)
-        self._static_bins: Dict[Tuple[int, int, int], List[Station]] = {}
-        self._static_where: Dict[str, Tuple[int, int, int]] = {}
-        self._mobile: Dict[str, Station] = {}
-        self._reg_seq: Dict[str, int] = {}
-        self._reg_counter = 0
-        # Candidate lists are a pure function of (channel, sender cell) and
-        # the registration set: static bins never move and the mobile list
-        # is membership-only.  Cache them and invalidate on (un)register so
-        # the delivery hot path skips the 3x3 bin walk and the sort.
-        self._cand_cache: Dict[Tuple[int, int, int], List[Station]] = {}
         # Frame-event batching: instead of one engine event per frame, each
         # channel keeps a FIFO of (deliver_time, sender_id, frame) and a
         # single in-flight drain event.  The drain delivers every queued
@@ -223,23 +217,26 @@ class Medium:
         self._obs_backlog = sim.telemetry.gauge("medium.backlog_s")
         self._obs_backlog_warnings = sim.telemetry.counter("medium.backlog_warnings")
         self._backlog_warned: set = set()
-        # Vectorized candidate selection (repro.sim.medium_vec): numpy
-        # arrays prune receiver candidates, the exact scalar predicates
-        # confirm survivors, and the shared apply loop below consumes the
-        # loss stream in registration order — byte-identical results, one
-        # array pass instead of a Python scan.  Without numpy the index is
-        # absent and the scalar scan runs.  The fallback counter is created
-        # unconditionally so every telemetry export carries it; it is
-        # nondeterministic because its value reflects the host's installed
-        # packages, not the seed.
-        from .medium_vec import make_index
+        # Largest backlog noted so far: a smaller wait cannot move the
+        # gauge, so ``transmit`` skips the call for it.
+        self._backlog_high = 0.0
+        # Receiver resolution (repro.sim.medium_vec): cached broadcast
+        # plans, a BSSID index and mobile horizons or snapshots, answering
+        # with the exact receivers in registration order so the draw loops
+        # below consume the loss stream exactly like a walk over every
+        # station.  Built through the module attribute so tests can
+        # install a reference walk in its place.  The fallback counter is
+        # created unconditionally so every telemetry export carries it; it
+        # is nondeterministic because its value reflects the host's
+        # installed packages, not the seed.
+        from . import medium_vec
 
-        self._obs_vector_fallbacks = sim.telemetry.counter(
+        fallbacks = sim.telemetry.counter(
             "medium.vector_fallbacks", deterministic=False
         )
-        self._vec = make_index(self)
-        if self._vec is None:
-            self._obs_vector_fallbacks.inc()
+        if medium_vec._np is None:
+            fallbacks.inc()  # no numpy: large fleets lose the mobile snapshot
+        self._vec = medium_vec.VectorIndex(self)
         # CSMA/CA contention with per-cell spatial reuse (see
         # repro.sim.contention).  Built last: the state machine reuses the
         # spatial binning configured above.  ``None`` and a disabled spec
@@ -279,50 +276,24 @@ class Medium:
 
     @property
     def vector_delivery(self) -> bool:
-        """True when the array-backed delivery index exists (numpy installed)."""
-        return self._vec is not None
+        """Always True: every delivery resolves receivers through the index.
+
+        Kept for callers that record which delivery path a world took.
+        """
+        return True
 
     # ------------------------------------------------------------------
-    def _cell_of(self, channel: int, x: float, y: float) -> Tuple[int, int, int]:
-        return (channel, int(x // self._bin_m), int(y // self._bin_m))
-
     def register(self, station: Station) -> None:
         """Add a station; id collisions are programming errors."""
         if station.station_id in self._stations:
             raise ValueError(f"duplicate station id {station.station_id!r}")
         self._stations[station.station_id] = station
-        self._reg_seq[station.station_id] = self._reg_counter
-        self._reg_counter += 1
-        self._cand_cache.clear()
-        channel = station.tuned_channel()
-        if getattr(station, "is_static", False) and channel is not None:
-            x, y = station.position()
-            cell = self._cell_of(channel, x, y)
-            self._static_bins.setdefault(cell, []).append(station)
-            self._static_where[station.station_id] = cell
-            if self._vec is not None:
-                self._vec.add_static(station, channel, x, y)
-        else:
-            self._mobile[station.station_id] = station
-            if self._vec is not None:
-                self._vec.mobiles_changed()
+        self._vec.add(station)
 
     def unregister(self, station_id: str) -> None:
         """Remove a station from the medium."""
-        self._stations.pop(station_id, None)
-        self._reg_seq.pop(station_id, None)
-        was_mobile = self._mobile.pop(station_id, None) is not None
-        self._cand_cache.clear()
-        cell = self._static_where.pop(station_id, None)
-        if cell is not None:
-            bucket = self._static_bins.get(cell, [])
-            self._static_bins[cell] = [
-                s for s in bucket if s.station_id != station_id
-            ]
-            if self._vec is not None:
-                self._vec.remove_static(station_id, cell[0])
-        elif was_mobile and self._vec is not None:
-            self._vec.mobiles_changed()
+        if self._stations.pop(station_id, None) is not None:
+            self._vec.remove(station_id)
 
     def stations(self) -> List[Station]:
         """All registered stations."""
@@ -420,7 +391,9 @@ class Medium:
 
     def _note_backlog(self, channel: int, wait_s: float) -> None:
         """Record the airtime wait a frame saw before transmitting."""
-        self._obs_backlog.set_max(wait_s)
+        if wait_s > self._backlog_high:
+            self._backlog_high = wait_s
+            self._obs_backlog.set_max(wait_s)
         if wait_s > BACKLOG_WARN_S and channel not in self._backlog_warned:
             self._backlog_warned.add(channel)
             self._obs_backlog_warnings.inc()
@@ -505,8 +478,9 @@ class Medium:
         done = start + self.airtime(frame)
         self._busy_until[channel] = done
         self.frames_sent += 1
-        if start > now:
-            self._note_backlog(channel, start - now)
+        wait = start - now
+        if wait > self._backlog_high or wait > BACKLOG_WARN_S:
+            self._note_backlog(channel, wait)
         deliver_at = done + PROPAGATION_DELAY_S
         state = self._chan_state.get(channel)
         if state is None:
@@ -670,23 +644,18 @@ class Medium:
     def _deliver_contended(
         self, sender_id: str, frame: Frame, start: float, done: float
     ) -> None:
-        """Delivery tail for the contention path: the scalar receiver scan
-        plus the receiver-side hidden-terminal check.
+        """Delivery tail for the contention path: :meth:`_deliver` plus
+        the receiver-side hidden-terminal check.
 
-        A candidate receiver whose own cell saw a foreign flight overlap
+        A receiver whose own cell saw a foreign flight overlap
         ``[start, done)`` misses the frame without consuming a loss draw —
         interference destroyed it before channel noise got a say.
         Receivers outside the interferer's footprint still hear it.  A
         unicast frame whose destination was wiped fails exactly like an
         out-of-range one (the ACK never comes back), and additionally
-        widens the sender's contention window.
-
-        When the vector index is engaged, receiver resolution goes
-        through the same survivor rows as the uncontended path (the rows
-        carry each receiver's position and exact distance, which is all
-        the per-receiver interference geometry needs) and
-        :meth:`_apply_contended` runs the contended tail; otherwise the
-        scalar candidate walk below does both.
+        widens the sender's contention window.  The survivor rows carry
+        each receiver's position and exact distance, which is all the
+        per-receiver interference geometry needs.
         """
         sender = self._stations.get(sender_id)
         if sender is None:
@@ -696,222 +665,10 @@ class Medium:
             self._tx_contending.pop(sender_id, None)
             return
         contention = self.contention
-        sx, sy = sender.position()
-        if self._vec is not None and len(self._stations) >= VECTOR_MIN_STATIONS:
-            self._apply_contended(
-                sender,
-                frame,
-                self._vec.survivors(sender_id, frame, sx, sy),
-                start,
-                done,
-            )
-            return
-        receiver_reachable = False
-        interfered_any = False
-        loss_p = self._effective_loss(frame)
-        channel = frame.channel
-        dst = frame.dst
-        broadcast = dst == BROADCAST
-        range_m = self.range_m
-        rng_random = self._rng.random
-        hooks = self.delivery_hooks
-        hypot = math.hypot
-        for station, static_pos in self._candidates(channel, sx, sy):
-            if station.station_id == sender_id:
-                continue
-            if static_pos is None:
-                if station.tuned_channel() != channel:
-                    continue
-                if not broadcast and not station.accepts(dst):
-                    continue
-                rx, ry = station.position()
-            else:
-                if not broadcast and not station.accepts(dst):
-                    continue
-                rx, ry = static_pos
-            distance = hypot(sx - rx, sy - ry)
-            if distance > range_m:
-                continue
-            if contention.interfered(
-                sender_id, channel, rx, ry, start, done, distance
-            ):
-                interfered_any = True
-                continue
-            receiver_reachable = True
-            if rng_random() < loss_p:
-                self.frames_lost += 1
-                self._obs_drops.inc()
-                continue
-            self.frames_delivered += 1
-            for hook in hooks:
-                hook(frame, station.station_id)
-            station.on_frame(frame, rssi_from_distance(distance))
-        if interfered_any:
-            self.frames_collided += 1
-            contention.note_collision(
-                sender_id, frame_failed=not broadcast and not receiver_reachable
-            )
-        if not broadcast and not receiver_reachable:
-            failed = getattr(sender, "on_delivery_failed", None)
-            if failed is not None:
-                failed(frame)
-        self._advance_tx_queue(sender_id)
-
-    # ------------------------------------------------------------------
-    def _candidates(
-        self, frame_channel: int, sx: float, sy: float
-    ) -> List[Tuple[Station, Optional[Tuple[float, float]]]]:
-        """Receiver candidates: all mobiles + static stations near (sx, sy).
-
-        Each entry is ``(station, pos)`` where ``pos`` is the fixed position
-        of a static station (its ``is_static`` contract: position and tuned
-        channel never change) or ``None`` for a mobile one, letting the
-        delivery loop skip the per-frame position/tuned-channel calls for
-        the static majority.  Sorted by registration order so the delivery
-        loop is byte-for-byte deterministic with the historical scan over
-        every station.  The list is a pure function of (channel, sender
-        cell) and the current registration set, so it is cached until the
-        next (un)register.
-        """
-        key = (frame_channel, int(sx // self._bin_m), int(sy // self._bin_m))
-        cached = self._cand_cache.get(key)
-        if cached is not None:
-            return cached
-        candidates: List[Tuple[Station, Optional[Tuple[float, float]]]] = [
-            (s, None) for s in self._mobile.values()
-        ]
-        _, bx, by = key
-        bins = self._static_bins
-        for cx in (bx - 1, bx, bx + 1):
-            for cy in (by - 1, by, by + 1):
-                bucket = bins.get((frame_channel, cx, cy))
-                if bucket:
-                    candidates.extend((s, s.position()) for s in bucket)
-        if len(candidates) > 1:
-            seq = self._reg_seq
-            candidates.sort(key=lambda c: seq[c[0].station_id])
-        self._cand_cache[key] = candidates
-        return candidates
-
-    def _deliver(self, sender_id: str, frame: Frame) -> None:
-        sender = self._stations.get(sender_id)
-        if sender is None:
-            return  # sender vanished mid-flight (e.g., torn down)
-        sx, sy = sender.position()
-        if self._vec is not None and len(self._stations) >= VECTOR_MIN_STATIONS:
-            self._apply(
-                sender, frame, self._vec.survivors(sender_id, frame, sx, sy)
-            )
-            return
-        receiver_reachable = False
-        loss_p = self._effective_loss(frame)
-        channel = frame.channel
-        dst = frame.dst
-        broadcast = dst == BROADCAST
-        range_m = self.range_m
-        rng_random = self._rng.random
-        hooks = self.delivery_hooks
-        hypot = math.hypot
-        for station, static_pos in self._candidates(channel, sx, sy):
-            if station.station_id == sender_id:
-                continue
-            if static_pos is None:
-                # Mobile: channel and position can change frame to frame.
-                if station.tuned_channel() != channel:
-                    continue
-                if not broadcast and not station.accepts(dst):
-                    continue
-                rx, ry = station.position()
-            else:
-                # Static: the bin key already guarantees the channel match.
-                if not broadcast and not station.accepts(dst):
-                    continue
-                rx, ry = static_pos
-            distance = hypot(sx - rx, sy - ry)
-            if distance > range_m:
-                continue
-            receiver_reachable = True
-            if rng_random() < loss_p:
-                self.frames_lost += 1
-                self._obs_drops.inc()
-                continue
-            self.frames_delivered += 1
-            for hook in hooks:
-                hook(frame, station.station_id)
-            station.on_frame(frame, rssi_from_distance(distance))
-        if not broadcast and not receiver_reachable:
-            # No eligible receiver: the link-layer ACK never comes back.
-            # Senders that care (APs re-queueing toward sleeping clients)
-            # implement on_delivery_failed.
-            failed = getattr(sender, "on_delivery_failed", None)
-            if failed is not None:
-                failed(frame)
-
-    def _apply(self, sender: Station, frame: Frame, survivors: List) -> None:
-        """Deliver to a pre-resolved receiver list (the vector path's tail).
-
-        ``survivors`` holds ``(seq, station, rssi, ignores_beacons, rx,
-        ry, distance)`` rows in registration order, every row already
-        past the exact channel, ``accepts`` and range predicates — so the
-        loss draws taken here consume the ``medium.loss`` stream exactly
-        as the scalar scan in :meth:`_deliver` does: one draw per
-        in-range receiver, in registration order, interleaved with the
-        receiver callbacks just like the scalar loop.  Beacon deliveries
-        to stations declaring ``ignores_beacons`` skip the no-op
-        ``on_frame`` call — counters, hooks, and the loss draw still
-        happen, keeping every observable identical.  (The position/
-        distance columns exist for :meth:`_apply_contended`.)
-        """
-        loss_p = self._effective_loss(frame)
-        rng_random = self._rng.random
-        hooks = self.delivery_hooks
-        beacon = frame.kind is FrameKind.BEACON
-        lost = 0
-        delivered = 0
-        for _seq, station, rssi, ignores_beacons, _rx, _ry, _dist in survivors:
-            if rng_random() < loss_p:
-                lost += 1
-                continue
-            delivered += 1
-            if hooks:
-                for hook in hooks:
-                    hook(frame, station.station_id)
-            if beacon and ignores_beacons:
-                continue
-            station.on_frame(frame, rssi)
-        if delivered:
-            self.frames_delivered += delivered
-        if lost:
-            self.frames_lost += lost
-            self._obs_drops.inc(lost)
-        if frame.dst != BROADCAST and not survivors:
-            failed = getattr(sender, "on_delivery_failed", None)
-            if failed is not None:
-                failed(frame)
-
-    def _apply_contended(
-        self,
-        sender: Station,
-        frame: Frame,
-        survivors: List,
-        start: float,
-        done: float,
-    ) -> None:
-        """Contended delivery to pre-resolved receivers (vector tail).
-
-        Mirrors the scalar loop in :meth:`_deliver_contended` row for
-        row: survivor rows arrive in registration order with the exact
-        ``math.hypot`` distance the scalar walk would compute, each row
-        runs the same receiver-side :meth:`ContentionState.interfered`
-        check first (a wiped receiver consumes no loss draw), and the
-        collision/window/failed-delivery accounting at the tail is the
-        same code shape — so results, counters, and both RNG streams stay
-        byte-identical whichever path resolved the receivers.
-        """
-        contention = self.contention
-        sender_id = sender.station_id
         channel = frame.channel
         broadcast = frame.dst == BROADCAST
+        sx, sy = sender.position()
+        survivors = self._vec.survivors(sender_id, frame, sx, sy)
         loss_p = self._effective_loss(frame)
         rng_random = self._rng.random
         hooks = self.delivery_hooks
@@ -919,7 +676,7 @@ class Medium:
         # Flags are precomputed per delivery (one batched state call):
         # they consume no randomness and mid-delivery bookings can never
         # overlap this delivery, so the early evaluation is invisible to
-        # the draw streams and the scalar walk's answers.
+        # the draw stream.
         wiped = (
             contention.interfered_rows(sender_id, channel, survivors, start, done)
             if survivors
@@ -954,3 +711,45 @@ class Medium:
             if failed is not None:
                 failed(frame)
         self._advance_tx_queue(sender_id)
+
+    def _deliver(self, sender_id: str, frame: Frame) -> None:
+        """Hand a frame to its receivers at its completion time.
+
+        :meth:`VectorIndex.survivors` resolves the receivers, in
+        registration order; each takes one loss draw from the
+        ``medium.loss`` stream, interleaved with the receiver callbacks.
+        Beacon deliveries to stations declaring ``ignores_beacons`` skip
+        the no-op ``on_frame`` call — counters, hooks and the loss draw
+        still happen, keeping every observable identical.
+        """
+        sender = self._stations.get(sender_id)
+        if sender is None:
+            return  # sender vanished mid-flight (e.g., torn down)
+        sx, sy = sender.position()
+        survivors = self._vec.survivors(sender_id, frame, sx, sy)
+        loss_p = self._effective_loss(frame)
+        rng_random = self._rng.random
+        hooks = self.delivery_hooks
+        beacon = frame.kind is FrameKind.BEACON
+        lost = 0
+        for _seq, station, rssi, ignores_beacons, _rx, _ry, _dist in survivors:
+            if rng_random() < loss_p:
+                lost += 1
+                continue
+            if hooks:
+                for hook in hooks:
+                    hook(frame, station.station_id)
+            if beacon and ignores_beacons:
+                continue
+            station.on_frame(frame, rssi)
+        self.frames_delivered += len(survivors) - lost
+        if lost:
+            self.frames_lost += lost
+            self._obs_drops.inc(lost)
+        if not survivors and frame.dst != BROADCAST:
+            # No eligible receiver: the link-layer ACK never comes back.
+            # Senders that care (APs re-queueing toward sleeping clients)
+            # implement on_delivery_failed.
+            failed = getattr(sender, "on_delivery_failed", None)
+            if failed is not None:
+                failed(frame)

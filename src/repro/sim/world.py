@@ -237,20 +237,29 @@ class World:
         ap = self.ap_for_ip(ip)
         if ap is None:
             return
-        self.sim.schedule(self.wired_latency_s, ap.deliver_downlink, ip, kind, payload, size)
+        self.sim.schedule_fire(
+            self.sim.now + self.wired_latency_s,
+            ap.deliver_downlink,
+            ip,
+            kind,
+            payload,
+            size,
+        )
 
     def _on_uplink(self, ap: AccessPoint, kind: FrameKind, payload, src_mac: str) -> None:
         """Traffic arriving at the AP's wired head-end."""
         if kind is FrameKind.DATA and isinstance(payload, TcpSegment):
-            self.sim.schedule(self.wired_latency_s, self.server.on_segment, payload)
+            self.sim.schedule_fire(
+                self.sim.now + self.wired_latency_s, self.server.on_segment, payload
+            )
         elif kind is FrameKind.PING_REQUEST and isinstance(payload, dict):
             src_ip = payload.get("src_ip")
             if src_ip is None:
                 return
             self.server.pings_echoed += 1
             # One wired leg to reach the server; send_to_ip adds the return leg.
-            self.sim.schedule(
-                self.wired_latency_s,
+            self.sim.schedule_fire(
+                self.sim.now + self.wired_latency_s,
                 self.send_to_ip,
                 src_ip,
                 FrameKind.PING_REPLY,

@@ -119,8 +119,8 @@ PRESETS: Dict[str, TownConfig] = {
     # A dense downtown core.
     "dense": TownConfig(name="dense", ap_density_per_km=14.0),
     # City scale: a 10 km core loop at downtown densities — over a
-    # thousand open APs in tight blocks.  This is the regime the
-    # vectorized medium (repro.sim.medium_vec) exists for; the cluster
+    # thousand open APs in tight blocks.  This is the regime the medium's
+    # mobile snapshot (repro.sim.medium_vec) exists for; the cluster
     # rate is raised so blocks stay ~10 APs rather than merging into one
     # continuous wall of radios.  DHCP is commercial-grade: downtown
     # cores run managed infrastructure, not the slow residential relays

@@ -11,9 +11,10 @@ kept here as a test-only oracle; tests install it by monkeypatching
 ``repro.sim.radio.ContentionState``, the name the medium builds its state
 through.
 
-The reference runs are also run without numpy (the scalar medium), so the
-trial-scale comparisons cover the whole pure-Python platform path against
-the default one.
+The reference runs also resolve receivers through the test-only
+reference walk (``tests/reference_delivery.py``) without numpy, so the
+trial-scale comparisons pit the plain models of carrier sense,
+interference and receiver lookup against the default platform path.
 """
 
 from __future__ import annotations
@@ -25,7 +26,9 @@ from dataclasses import replace
 
 import pytest
 
-from repro.sim import medium_vec, radio
+from reference_delivery import delivery_path
+
+from repro.sim import radio
 from repro.sim.contention import ContentionSpec, ContentionState
 from repro.sim.engine import Simulator
 from repro.sim.frames import Frame, FrameKind
@@ -88,11 +91,13 @@ class ReferenceContentionState(ContentionState):
 
 @contextmanager
 def reference_paths(reference):
-    """With ``reference``, build media on the oracle state and without numpy."""
-    with pytest.MonkeyPatch.context() as mp:
+    """With ``reference``, build media on the oracle state, the reference
+    receiver walk and no numpy."""
+    with pytest.MonkeyPatch.context() as mp, delivery_path(
+        "reference" if reference else "index"
+    ):
         if reference:
             mp.setattr(radio, "ContentionState", ReferenceContentionState)
-            mp.setattr(medium_vec, "_np", None)
         yield
 
 
@@ -358,9 +363,8 @@ from repro.experiments.town_runs import spider_factory  # noqa: E402
 from repro.obs.export import build_payload, collect_snapshots  # noqa: E402
 from repro.sim.faults import ApFlap, DhcpStall, FaultPlan, RandomOutages  # noqa: E402
 
-#: Small-but-contended: dense enough that flights stack, defers fire, and
-#: the vectorized medium engages at the real thresholds, small enough to
-#: run twice per regime.
+#: Small-but-contended: dense enough that flights stack and defers fire,
+#: small enough to run twice per regime.
 CONTENDED_DENSE = DenseTownSpec(
     duration_s=1.5,
     town="city",
@@ -436,11 +440,9 @@ class TestContendedFaultPlanIdentity:
         with reference_paths(reference):
             return run_town_trial_spec(spec)
 
-    def test_fault_plan_trace_identical(self, monkeypatch):
+    def test_fault_plan_trace_identical(self):
         import pickle
 
-        # Engage the vector index even on this small world.
-        monkeypatch.setattr(radio, "VECTOR_MIN_STATIONS", 0)
         reference = self._run(True)
         real = self._run(False)
         assert pickle.dumps(replace(reference, telemetry=None)) == pickle.dumps(

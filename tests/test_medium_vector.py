@@ -1,14 +1,17 @@
-"""Unit tests for the vectorized delivery index (``repro.sim.medium_vec``).
+"""Unit tests for the medium's receiver index (``repro.sim.medium_vec``).
 
-PR 6 added an array-backed candidate prefilter in front of the medium's
-delivery scan.  These tests pin its contract at the unit level: the
-graceful scalar fallback (and its obs counter) when numpy is missing, the
-constructor's non-finite parameter validation, and — most importantly —
-byte-identical delivery traces between the scalar path (numpy hidden, the
-real no-numpy platform path) and the vectorized one across every
-candidate-selection regime (static bins, cached broadcast tables, mobile
-snapshots, the unbounded-mobility escape, and AP fail/recover cycles).
-Whole-trial determinism lives in ``tests/test_vector_determinism``.
+Every delivery resolves its receivers through :class:`VectorIndex`:
+cached broadcast plans for static senders, a BSSID index for unicast to
+APs, and per-sender horizons (small fleets, or no numpy) or a position
+snapshot (large fleets with numpy) for mobile receivers.  These tests pin
+its contract at the unit level against the test-only reference walk
+(``tests/reference_delivery.py``): byte-identical delivery traces across
+every regime (static bins, cached plans, horizons, snapshots, the
+unbounded-mobility escape, AP fail/recover cycles), frame-fate
+conservation, horizon timing at the declared speed bound, and plan and
+horizon invalidation when stations (un)register.  The no-numpy counter
+and the constructor's parameter validation live here too.  Whole-trial
+identity lives in ``tests/test_vector_determinism``.
 """
 
 from __future__ import annotations
@@ -17,18 +20,26 @@ import math
 
 import pytest
 
+from reference_delivery import PATHS, ReferenceDelivery, delivery_path
+
+from repro.core.schedule import OperationMode
+from repro.experiments.common import run_town_trial
+from repro.experiments.town_runs import spider_factory
 from repro.obs.telemetry import Telemetry
-from repro.sim import medium_vec, radio
-from repro.sim.engine import Simulator
+from repro.sim import medium_vec
+from repro.sim.engine import PeriodicProcess, Simulator
+from repro.sim.faults import ApFlap, FaultPlan
 from repro.sim.frames import BROADCAST, Frame, FrameKind
-from repro.sim.medium_vec import SNAPSHOT_MIN_MOBILES, argsort_scan, make_index
+from repro.sim.medium_vec import SNAPSHOT_MIN_MOBILES, VectorIndex, argsort_scan
 from repro.sim.mobility import (
     LinearMobility,
     LoopMobility,
     StaticPosition,
     VariableSpeedLoopMobility,
 )
+from repro.sim.nic import WifiNic
 from repro.sim.radio import Medium
+from repro.sim.world import World
 
 
 class RecordingStation:
@@ -94,15 +105,13 @@ def trace_of(stations):
 
 
 class TestNumpyFallback:
-    def test_make_index_returns_none_without_numpy(self, monkeypatch):
-        monkeypatch.setattr(medium_vec, "_np", None)
-        assert make_index(Medium(Simulator(seed=0))) is None
-
-    def test_medium_falls_back_to_scalar(self, monkeypatch):
+    def test_index_engages_without_numpy(self, monkeypatch):
+        """numpy only backs the large-fleet snapshot: without it the medium
+        still resolves every delivery through the index."""
         monkeypatch.setattr(medium_vec, "_np", None)
         medium = Medium(Simulator(seed=0))
-        assert not medium.vector_delivery
-        assert medium._vec is None
+        assert medium.vector_delivery
+        assert type(medium._vec) is VectorIndex
 
     def test_fallback_increments_obs_counter(self, monkeypatch):
         monkeypatch.setattr(medium_vec, "_np", None)
@@ -149,29 +158,23 @@ class TestConstructorValidation:
 
 
 pytestmark_numpy = pytest.mark.skipif(
-    medium_vec._np is None, reason="vector path requires numpy"
+    medium_vec._np is None, reason="lexsort path requires numpy"
 )
 
 
-@pytestmark_numpy
 class TestVectorScalarEquivalence:
-    """Scalar and vectorized delivery must be byte-identical.
+    """The index and the reference walk must deliver byte-identically.
 
-    ``VECTOR_MIN_STATIONS`` is pinned to 0 so the vector path engages on
-    these small, hand-auditable worlds; the ``loss_rate`` is non-zero in
-    most cases so any divergence in candidate *order* (not just the set)
-    desynchronizes the loss stream and shows up as a trace mismatch.
+    Each world runs on the reference walk, on the index, and on the index
+    without numpy (horizons instead of the mobile snapshot).  The
+    ``loss_rate`` is non-zero in most cases so any divergence in receiver
+    *order* (not just the set) desynchronizes the loss stream and shows up
+    as a trace mismatch.
     """
 
-    @pytest.fixture(autouse=True)
-    def _engage_vector_everywhere(self, monkeypatch):
-        monkeypatch.setattr(radio, "VECTOR_MIN_STATIONS", 0)
-
-    def _run(self, vector, populate, drive, seed=7, loss_rate=0.3):
+    def _run(self, path, populate, drive, seed=7, loss_rate=0.3):
         sim = Simulator(seed=seed)
-        with pytest.MonkeyPatch.context() as mp:
-            if not vector:
-                mp.setattr(medium_vec, "_np", None)
+        with delivery_path(path):
             medium = Medium(sim, loss_rate=loss_rate)
         stations = populate(sim, medium)
         drive(sim, medium, stations)
@@ -179,10 +182,12 @@ class TestVectorScalarEquivalence:
         return trace_of(stations), medium.frames_delivered, medium.frames_lost
 
     def _assert_identical(self, populate, drive, **kwargs):
-        scalar = self._run(False, populate, drive, **kwargs)
-        vector = self._run(True, populate, drive, **kwargs)
-        assert scalar == vector
-        return vector
+        reference, *indexed = [
+            self._run(path, populate, drive, **kwargs) for path in PATHS
+        ]
+        for result in indexed:
+            assert result == reference
+        return reference
 
     def test_static_broadcast_and_unicast(self):
         def populate(sim, medium):
@@ -298,7 +303,8 @@ class TestVectorScalarEquivalence:
 
     def test_unbounded_mobile_disables_snapshot(self):
         """One station without a speed bound poisons the snapshot for its
-        membership generation; the exact scan must still match scalar."""
+        membership generation: mobile senders fall back to the exact scan
+        and static senders to horizons, and both must still match."""
 
         def populate(sim, medium):
             fleet = [
@@ -306,6 +312,7 @@ class TestVectorScalarEquivalence:
                 for i in range(SNAPSHOT_MIN_MOBILES + 2)
             ]
             fleet.append(UnboundedStation("ghost", x=10.0))
+            fleet.append(StaticStation("ap", x=60.0))
             for s in fleet:
                 s.sim = sim
                 medium.register(s)
@@ -313,12 +320,13 @@ class TestVectorScalarEquivalence:
 
         def drive(sim, medium, stations):
             for k in range(6):
-                sim.schedule(
-                    0.5 * k,
-                    lambda s=stations[0]: medium.transmit(
-                        s, mgmt_frame(s.station_id, BROADCAST)
-                    ),
-                )
+                for s in (stations[0], stations[-1]):
+                    sim.schedule(
+                        0.5 * k,
+                        lambda s=s: medium.transmit(
+                            s, mgmt_frame(s.station_id, BROADCAST)
+                        ),
+                    )
 
         self._assert_identical(populate, drive)
 
@@ -381,6 +389,230 @@ class TestVectorScalarEquivalence:
 
         trace, _d, _l = self._assert_identical(populate, drive, loss_rate=0.0)
         assert len(trace["edge"]) == 1
+
+
+class CountingIndex(VectorIndex):
+    """The index, also counting the reference walk's receivers per frame."""
+
+    built = None  # set per test: every index built registers here
+
+    def __init__(self, medium):
+        super().__init__(medium)
+        self.pairs = 0
+        CountingIndex.built.append(self)
+
+    def survivors(self, sender_id, frame, sx, sy):
+        self.pairs += len(ReferenceDelivery.survivors(self, sender_id, frame, sx, sy))
+        return super().survivors(sender_id, frame, sx, sy)
+
+
+class TestFrameFateConservation:
+    """On an uncontended medium every (frame, in-range receiver) pair the
+    reference walk finds ends exactly once: delivered or lost."""
+
+    @pytest.fixture
+    def indexes(self, monkeypatch):
+        monkeypatch.setattr(CountingIndex, "built", [])
+        monkeypatch.setattr(medium_vec, "VectorIndex", CountingIndex)
+        return CountingIndex.built
+
+    def _assert_conserved(self, indexes):
+        assert indexes
+        for index in indexes:
+            medium = index._medium
+            assert medium.frames_lost > 0
+            assert medium.frames_delivered + medium.frames_lost == index.pairs
+
+    def test_town_trial_with_ap_flaps(self, indexes):
+        plan = FaultPlan(events=(ApFlap(start_s=5.0, count=2, down_s=3.0, up_s=4.0),))
+        run_town_trial(
+            spider_factory(OperationMode.equal_split((1, 6, 11), 0.6), 4),
+            "fates",
+            seed=3,
+            duration_s=30.0,
+            faults=plan,
+        )
+        self._assert_conserved(indexes)
+
+    @pytest.mark.parametrize("numpy_hidden", [False, True])
+    def test_beaconing_moving_fleet(self, indexes, monkeypatch, numpy_hidden):
+        if numpy_hidden:
+            monkeypatch.setattr(medium_vec, "_np", None)
+        sim = Simulator(seed=5)
+        medium = Medium(sim, loss_rate=0.3)
+        aps = [StaticStation(f"ap{i}", x=60.0 * i) for i in range(8)]
+        fleet = [
+            MovingStation(f"veh{i}", x=-200.0 + 20.0 * i, speed_mps=12.0)
+            for i in range(SNAPSHOT_MIN_MOBILES + 2)
+        ]
+        for station in aps + fleet:
+            station.sim = sim
+            medium.register(station)
+        for ap in aps:
+            beacon = mgmt_frame(ap.station_id, BROADCAST)
+            PeriodicProcess(sim, 0.1, lambda ap=ap, f=beacon: medium.transmit(ap, f))
+        for k, veh in enumerate(fleet):
+            uplink = data_frame(veh.station_id, "ap3")
+            sim.schedule(0.05 + 0.3 * k, medium.transmit, veh, uplink)
+        sim.run(until=8.0)
+        self._assert_conserved(indexes)
+
+
+class PositionCountingStation(MovingStation):
+    """A moving station that logs when its position is read."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.reads = []
+
+    def position(self):
+        self.reads.append(self.sim.now)
+        return super().position()
+
+
+class TeleportingStation:
+    """A mobile double that jumps between positions and declares no bound."""
+
+    def __init__(self, station_id, x):
+        self.station_id = station_id
+        self.x = x
+        self.sim = None
+        self.received = []
+
+    def position(self):
+        return (self.x, 0.0)
+
+    def tuned_channel(self):
+        return 1
+
+    def accepts(self, dst):
+        return dst == self.station_id
+
+    def on_frame(self, frame, rssi):
+        self.received.append(self.sim.now)
+
+
+def beaconing_world(path, mobiles, ap_x=400.0):
+    """One static sender beaconing every 100 ms, lossless, on ``path``."""
+    sim = Simulator(seed=3)
+    with delivery_path(path):
+        medium = Medium(sim, loss_rate=0.0)
+    ap = StaticStation("ap", x=ap_x)
+    for station in [ap, *mobiles]:
+        station.sim = sim
+        medium.register(station)
+    PeriodicProcess(sim, 0.1, lambda: medium.transmit(ap, mgmt_frame("ap", BROADCAST)))
+    return sim, medium
+
+
+class TestHorizons:
+    """A static sender skips a mobile until it could first be in range."""
+
+    def test_first_beacon_at_declared_speed(self):
+        """Driving straight at the AP at exactly ``max_speed_mps``: the
+        first beacon arrives at the same instant on every path, and the
+        index reads the position once until the horizon is due."""
+        first, early_reads = {}, {}
+        for path in PATHS:
+            veh = PositionCountingStation("veh", x=0.0, speed_mps=10.0)
+            sim, _ = beaconing_world(path, [veh])
+            sim.run(until=35.0)
+            first[path] = veh.received[0][4]
+            early_reads[path] = sum(1 for t in veh.reads if t < 29.9)
+        assert first["index"] == first["index-no-numpy"] == first["reference"]
+        assert 29.9 < first["reference"] <= 30.1  # 400 m away, 100 m range
+        assert early_reads["reference"] > 250
+        assert early_reads["index"] == early_reads["index-no-numpy"] == 1
+
+    @pytest.mark.parametrize("declared", ["absent", None, math.inf])
+    def test_undeclared_bound_is_checked_every_frame(self, declared):
+        """No finite bound: a station that teleports into range hears the
+        next beacon on every path."""
+        for path in PATHS:
+            veh = TeleportingStation("veh", x=5000.0)
+            if declared != "absent":
+                veh.max_speed_mps = declared
+            sim, _ = beaconing_world(path, [veh], ap_x=0.0)
+            sim.run(until=1.05)
+            assert veh.received == []
+            veh.x = 10.0
+            sim.run(until=1.15)
+            assert len(veh.received) == 1, path
+
+    def test_declared_bound_is_trusted(self):
+        """A declared bound is a promise: the index does not look at a
+        station again before the bound says it could be in range, so a
+        station breaking its bound misses frames the reference delivers."""
+        heard = {}
+        for path in PATHS:
+            veh = TeleportingStation("veh", x=5000.0)
+            veh.max_speed_mps = 10.0
+            sim, _ = beaconing_world(path, [veh], ap_x=0.0)
+            sim.run(until=1.05)
+            veh.x = 10.0
+            sim.run(until=2.0)
+            heard[path] = len(veh.received)
+        assert heard == {"reference": 9, "index": 0, "index-no-numpy": 0}
+
+
+class TestPlanInvalidation:
+    """Registering or unregistering any station drops plans and horizons."""
+
+    def _world(self):
+        sim = Simulator(seed=0)
+        world = World(sim, loss_rate=0.0)
+        heard = []
+        world.medium.delivery_hooks.append(
+            lambda frame, receiver: heard.append((frame.src, receiver))
+        )
+        return sim, world, heard
+
+    def test_ap_retune(self):
+        sim, world, heard = self._world()
+        a = world.add_ap(channel=1, position=(0.0, 0.0))
+        b = world.add_ap(channel=6, position=(50.0, 0.0))
+        sim.run(until=1.0)
+        assert (a.bssid, b.bssid) not in heard
+        b.retune(1)
+        sim.run(until=2.0)
+        assert (a.bssid, b.bssid) in heard and (b.bssid, a.bssid) in heard
+
+    def test_ap_fail_and_recover(self):
+        sim, world, heard = self._world()
+        a = world.add_ap(channel=1, position=(0.0, 0.0))
+        b = world.add_ap(channel=1, position=(50.0, 0.0))
+        sim.run(until=1.0)
+        assert (a.bssid, b.bssid) in heard
+        b.fail()
+        heard.clear()
+        sim.run(until=2.0)
+        assert heard == []
+        b.recover()
+        sim.run(until=3.0)
+        assert (a.bssid, b.bssid) in heard and (b.bssid, a.bssid) in heard
+
+    def test_nic_registering_mid_run(self):
+        """A plan built with no mobiles must not keep a late NIC deaf."""
+        sim, world, heard = self._world()
+        a = world.add_ap(channel=1, position=(0.0, 0.0))
+        sim.run(until=1.0)
+        WifiNic(sim, world.medium, StaticPosition(30.0, 0.0), "veh", initial_channel=1)
+        sim.run(until=1.2)
+        assert (a.bssid, "veh") in heard
+
+    def test_mobile_unregistering_mid_run(self):
+        """Horizons are kept per mobile in registration order; dropping a
+        far mobile must not hand its long horizon to a near one."""
+        traces = {}
+        for path in PATHS:
+            far = MovingStation("far", x=5000.0, speed_mps=1.0)
+            near = MovingStation("near", x=350.0, speed_mps=1.0)
+            sim, medium = beaconing_world(path, [far, near])
+            sim.schedule(2.0, medium.unregister, "far")
+            sim.run(until=4.0)
+            traces[path] = near.received
+        assert traces["reference"]
+        assert traces["index"] == traces["index-no-numpy"] == traces["reference"]
 
 
 @pytestmark_numpy
