@@ -4,8 +4,12 @@ from repro.experiments import appendix_knapsack
 
 
 def test_bench_appendix_knapsack(benchmark, report):
-    result = benchmark.pedantic(appendix_knapsack.run, rounds=1, iterations=1)
-    report("Appendix A (knapsack selection)", result.render())
+    result = benchmark.pedantic(
+        lambda: appendix_knapsack.run_spec().unwrap(), rounds=1, iterations=1
+    )
+    text = result.render()
+    report("Appendix A (knapsack selection)", text)
+    assert f"greedy/optimal worst ratio: {result.greedy_optimality_ratio():.3f}" in text
     # The greedy heuristic is near-optimal on realistic instances...
     assert result.greedy_optimality_ratio() > 0.8
     # ...and brute force explodes while greedy stays trivial.

@@ -32,9 +32,11 @@ def _duration() -> float:
 def test_bench_fault_sweep(report):
     seeds = bench_seeds()
     t0 = time.perf_counter()
-    result = fault_sweep.run(
-        seeds=seeds, duration_s=_duration(), workers=bench_workers()
-    )
+    result = fault_sweep.run_spec(
+        fault_sweep.FaultSweepSpec(
+            seeds=seeds, duration_s=_duration(), workers=bench_workers()
+        )
+    ).unwrap()
     wall = time.perf_counter() - t0
     report("fault_sweep (cf. Table 3)", result.render())
 

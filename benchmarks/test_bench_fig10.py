@@ -6,7 +6,9 @@ from repro.experiments import fig10_micro
 
 def test_bench_fig10(benchmark, report):
     result = benchmark.pedantic(
-        lambda: fig10_micro.run(seeds=bench_seeds(), measure_s=40.0),
+        lambda: fig10_micro.run_spec(
+            fig10_micro.Fig10Spec(seeds=bench_seeds(), measure_s=40.0)
+        ).unwrap(),
         rounds=1,
         iterations=1,
     )

@@ -1,7 +1,7 @@
 """Bench FIG11-13: connection/disruption/instantaneous-bandwidth CDFs."""
 
 from repro.analysis.stats import percentile
-from repro.experiments import fig11_13_cdfs
+from repro.experiments.fig11_13_cdfs import Fig11to13Result
 from repro.experiments.town_runs import (
     CONFIG_CH1_MULTI_AP,
     CONFIG_MULTI_CH_MULTI_AP,
@@ -10,7 +10,7 @@ from repro.experiments.town_runs import (
 
 def test_bench_fig11_13(benchmark, report, town_suite):
     result = benchmark.pedantic(
-        lambda: fig11_13_cdfs.run(suite=town_suite), rounds=1, iterations=1
+        lambda: Fig11to13Result.from_suite(town_suite), rounds=1, iterations=1
     )
     report("Figs 11-13 (CDFs per configuration)", result.render())
     # Fig 11/12 trade-off: single-channel multi-AP holds the longest

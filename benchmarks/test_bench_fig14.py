@@ -1,11 +1,11 @@
 """Bench FIG14: join time vs DHCP timeout."""
 
-from repro.experiments import fig14_join_timeouts
+from repro.experiments.fig14_join_timeouts import Fig14Result
 
 
 def test_bench_fig14(benchmark, report, timeout_grid_results):
     result = benchmark.pedantic(
-        lambda: fig14_join_timeouts.run(grid=timeout_grid_results),
+        lambda: Fig14Result.from_grid(timeout_grid_results),
         rounds=1,
         iterations=1,
     )

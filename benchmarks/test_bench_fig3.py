@@ -4,7 +4,9 @@ from repro.experiments import fig3_beta_sensitivity
 
 
 def test_bench_fig3(benchmark, report):
-    result = benchmark.pedantic(fig3_beta_sensitivity.run, rounds=1, iterations=1)
+    result = benchmark.pedantic(
+        lambda: fig3_beta_sensitivity.run_spec().unwrap(), rounds=1, iterations=1
+    )
     report("Fig 3 (join probability vs beta_max)", result.render())
     # Shorter maximum join times => higher join probability, per fraction.
     for fraction, curve in result.curves.items():

@@ -4,7 +4,9 @@ from repro.experiments import fig4_optimal_schedule
 
 
 def test_bench_fig4(benchmark, report):
-    result = benchmark.pedantic(fig4_optimal_schedule.run, rounds=1, iterations=1)
+    result = benchmark.pedantic(
+        lambda: fig4_optimal_schedule.run_spec().unwrap(), rounds=1, iterations=1
+    )
     report("Fig 4 (optimal schedule vs speed)", result.render())
     by_name = {s.name: s for s in result.scenarios}
     for scenario in result.scenarios:

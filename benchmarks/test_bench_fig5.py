@@ -6,7 +6,9 @@ from repro.experiments import fig5_association
 
 def test_bench_fig5(benchmark, report):
     result = benchmark.pedantic(
-        lambda: fig5_association.run(seeds=bench_seeds(), duration_s=240.0),
+        lambda: fig5_association.run_spec(
+            fig5_association.Fig5Spec(seeds=bench_seeds(), duration_s=240.0)
+        ).unwrap(),
         rounds=1,
         iterations=1,
     )

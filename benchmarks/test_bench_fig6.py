@@ -6,7 +6,9 @@ from repro.experiments import fig6_dhcp
 
 def test_bench_fig6(benchmark, report):
     result = benchmark.pedantic(
-        lambda: fig6_dhcp.run(seeds=bench_seeds(), duration_s=240.0),
+        lambda: fig6_dhcp.run_spec(
+            fig6_dhcp.Fig6Spec(seeds=bench_seeds(), duration_s=240.0)
+        ).unwrap(),
         rounds=1,
         iterations=1,
     )

@@ -5,7 +5,11 @@ from repro.experiments import fig7_tcp_fraction
 
 def test_bench_fig7(benchmark, report):
     result = benchmark.pedantic(
-        lambda: fig7_tcp_fraction.run(measure_s=45.0), rounds=1, iterations=1
+        lambda: fig7_tcp_fraction.run_spec(
+            fig7_tcp_fraction.Fig7Spec(measure_s=45.0)
+        ).unwrap(),
+        rounds=1,
+        iterations=1,
     )
     report("Fig 7 (TCP vs primary-channel fraction)", result.render())
     # Increasing trend: full attention beats every fractional schedule by a

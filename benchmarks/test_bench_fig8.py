@@ -10,7 +10,10 @@ def _mean(xs):
 def test_bench_fig8(benchmark, report):
     def run():
         per_seed = [
-            fig8_tcp_dwell.run(seed=s, measure_s=45.0) for s in (0, 1, 2)
+            fig8_tcp_dwell.run_spec(
+                fig8_tcp_dwell.Fig8Spec(seeds=(s,), measure_s=45.0)
+            ).unwrap()
+            for s in (0, 1, 2)
         ]
         merged = fig8_tcp_dwell.Fig8Result(
             dwell_ms=per_seed[0].dwell_ms,
@@ -22,7 +25,9 @@ def test_bench_fig8(benchmark, report):
         return merged
 
     result = benchmark.pedantic(run, rounds=1, iterations=1)
-    report("Fig 8 (TCP vs per-channel dwell)", result.render())
+    text = result.render()
+    report("Fig 8 (TCP vs per-channel dwell)", text)
+    assert f"non-monotonic: {result.is_non_monotonic()}" in text
     # The paper's signature: throughput rises to an interior peak and then
     # falls once the off-channel gap exceeds the RTO.
     assert result.is_non_monotonic()

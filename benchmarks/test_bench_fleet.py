@@ -12,8 +12,14 @@ from repro.experiments import fleet
 
 def test_bench_fleet(benchmark, report):
     result = benchmark.pedantic(
-        lambda: fleet.run(fleet_sizes=(1, 2, 5), seeds=bench_seeds(), duration_s=300.0,
-                     workers=bench_workers()),
+        lambda: fleet.run_spec(
+            fleet.FleetSpec(
+                fleet_sizes=(1, 2, 5),
+                seeds=bench_seeds(),
+                duration_s=300.0,
+                workers=bench_workers(),
+            )
+        ).unwrap(),
         rounds=1,
         iterations=1,
     )

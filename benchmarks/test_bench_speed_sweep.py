@@ -13,10 +13,14 @@ from repro.experiments import speed_sweep
 
 def test_bench_speed_sweep(benchmark, report):
     result = benchmark.pedantic(
-        lambda: speed_sweep.run(
-            speeds_mps=(3.0, 10.0, 15.0), seeds=bench_seeds(), duration_s=400.0,
-            workers=bench_workers()
-        ),
+        lambda: speed_sweep.run_spec(
+            speed_sweep.SpeedSweepSpec(
+                speeds_mps=(3.0, 10.0, 15.0),
+                seeds=bench_seeds(),
+                duration_s=400.0,
+                workers=bench_workers(),
+            )
+        ).unwrap(),
         rounds=1,
         iterations=1,
     )

@@ -1,6 +1,6 @@
 """Bench TAB2: average throughput and connectivity per configuration."""
 
-from repro.experiments import table2_configs
+from repro.experiments.table2_configs import CABERNET_THROUGHPUT_KBPS, Table2Result
 from repro.experiments.town_runs import (
     CONFIG_CH1_MULTI_AP,
     CONFIG_CH6_SINGLE_AP_CAMBRIDGE,
@@ -11,18 +11,16 @@ from repro.experiments.town_runs import (
 
 def test_bench_table2(benchmark, report, town_suite):
     result = benchmark.pedantic(
-        lambda: table2_configs.run(suite=town_suite), rounds=1, iterations=1
+        lambda: Table2Result.from_suite(town_suite), rounds=1, iterations=1
     )
     rows = result.by_label()
     gain = result.multi_ap_gain()
     cambridge = rows[CONFIG_CH6_SINGLE_AP_CAMBRIDGE].throughput_kBps
-    cabernet = table2_configs.CABERNET_THROUGHPUT_KBPS
-    report(
-        "Table 2 (throughput & connectivity)",
-        result.render()
-        + f"\nmulti-AP gain (1)/(2): {gain:.2f}x (paper ~4.3x)"
-        + f"\nCambridge ch6 vs Cabernet: {cambridge / cabernet:.1f}x (paper ~8x)",
-    )
+    cabernet = CABERNET_THROUGHPUT_KBPS
+    text = result.render()
+    report("Table 2 (throughput & connectivity)", text)
+    assert f"multi-AP gain (1)/(2): {gain:.2f}x" in text
+    assert f"{cambridge / cabernet:.1f}x (paper: ~8x)" in text
     # Headline orderings of the paper.
     assert result.best_connectivity_label() == CONFIG_MULTI_CH_MULTI_AP
     assert rows[CONFIG_CH1_MULTI_AP].throughput_kBps > rows[CONFIG_STOCK].throughput_kBps

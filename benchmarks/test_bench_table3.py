@@ -1,11 +1,11 @@
 """Bench TAB3: DHCP failure probabilities per timeout configuration."""
 
-from repro.experiments import table3_dhcp_failures
+from repro.experiments.table3_dhcp_failures import Table3Result
 
 
 def test_bench_table3(benchmark, report, timeout_grid_results):
     result = benchmark.pedantic(
-        lambda: table3_dhcp_failures.run(grid=timeout_grid_results),
+        lambda: Table3Result.from_grid(timeout_grid_results),
         rounds=1,
         iterations=1,
     )

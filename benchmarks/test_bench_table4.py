@@ -6,7 +6,11 @@ from repro.experiments import table4_channels
 
 def test_bench_table4(benchmark, report):
     result = benchmark.pedantic(
-        lambda: table4_channels.run(seeds=bench_seeds(), duration_s=bench_duration()),
+        lambda: table4_channels.run_spec(
+            table4_channels.Table4Spec(
+                seeds=bench_seeds(), duration_s=bench_duration()
+            )
+        ).unwrap(),
         rounds=1,
         iterations=1,
     )

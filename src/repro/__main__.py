@@ -72,34 +72,9 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import Callable, Dict, Optional, Tuple
+from typing import Optional, Tuple
 
-from .experiments import (
-    ap_density,
-    appendix_knapsack,
-    fig2_join_validation,
-    fig3_beta_sensitivity,
-    fig4_optimal_schedule,
-    fig5_association,
-    fig6_dhcp,
-    fig7_tcp_fraction,
-    fig8_tcp_dwell,
-    fig10_micro,
-    fig11_13_cdfs,
-    fig14_join_timeouts,
-    fig15_join_policies,
-    fig16_17_usability,
-    channel_assign,
-    dense_town,
-    fault_sweep,
-    fleet,
-    speed_sweep,
-    table1_switch_latency,
-    table2_configs,
-    table3_dhcp_failures,
-    table4_channels,
-    transport_matrix,
-)
+# Importing the package registers every experiment in REGISTRY.
 from .experiments.api import (
     REGISTRY,
     run_experiment,
@@ -108,36 +83,6 @@ from .experiments.api import (
 )
 from .sim.cc import CC_NAMES, resolve_transport
 from .sim.contention import resolve_contention
-
-#: Compatibility table: artifact id -> the module's ``main()``.  Dispatch
-#: goes through :data:`repro.experiments.api.REGISTRY`; this dict remains
-#: for callers that invoke an experiment's CLI entry point directly.
-EXPERIMENTS: Dict[str, Callable[[], None]] = {
-    "fig2": fig2_join_validation.main,
-    "fig3": fig3_beta_sensitivity.main,
-    "fig4": fig4_optimal_schedule.main,
-    "fig5": fig5_association.main,
-    "fig6": fig6_dhcp.main,
-    "fig7": fig7_tcp_fraction.main,
-    "fig8": fig8_tcp_dwell.main,
-    "fig10": fig10_micro.main,
-    "fig11-13": fig11_13_cdfs.main,
-    "fig14": fig14_join_timeouts.main,
-    "fig15": fig15_join_policies.main,
-    "fig16-17": fig16_17_usability.main,
-    "table1": table1_switch_latency.main,
-    "table2": table2_configs.main,
-    "table3": table3_dhcp_failures.main,
-    "table4": table4_channels.main,
-    "density": ap_density.main,
-    "speed-sweep": speed_sweep.main,
-    "fault-sweep": fault_sweep.main,
-    "dense-town": dense_town.main,
-    "fleet": fleet.main,
-    "knapsack": appendix_knapsack.main,
-    "transport-matrix": transport_matrix.main,
-    "channel-assign": channel_assign.main,
-}
 
 
 def _build_parser() -> argparse.ArgumentParser:

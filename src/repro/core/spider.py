@@ -22,7 +22,6 @@ from ..sim.engine import Simulator
 from ..sim.metrics import ThroughputRecorder
 from ..sim.mobility import MobilityModel
 from ..sim.nic import VirtualInterface, WifiNic
-from ..sim.tcp import TcpParams
 from ..sim.traffic import ClientFlow
 from ..sim.world import World
 from .driver import SpiderDriver
@@ -50,7 +49,6 @@ class SpiderClient:
         config: SpiderConfig,
         client_id: str = "spider",
         enable_traffic: bool = True,
-        tcp_params: Optional[TcpParams] = None,
         probe_interval_s: Optional[float] = 0.5,
         lock_channel_when_connected: bool = False,
     ):
@@ -58,7 +56,6 @@ class SpiderClient:
         self.world = world
         self.config = config
         self.enable_traffic = enable_traffic
-        self.tcp_params = tcp_params
         self.nic = WifiNic(
             sim,
             world.medium,
@@ -147,7 +144,6 @@ class SpiderClient:
             self.world,
             iface,
             on_bytes=on_bytes,
-            tcp_params=self.tcp_params,
         )
 
     def _on_link_down(self, iface: VirtualInterface) -> None:

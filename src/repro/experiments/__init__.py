@@ -1,12 +1,17 @@
 """One module per paper table/figure, plus shared harnesses.
 
 Each module exposes ``run_spec(spec) -> TrialResult`` — the unified
-spec→result contract defined in :mod:`repro.experiments.api` — alongside a
-deprecated ``run(...)`` shim with the historical signature and a ``main()``
-entry point.  Results are structured data with a ``render()`` method that
-prints the same rows/series the paper reports; specs carry the shared
-vocabulary (seeds, duration, town, workers) so the benchmark harness and
-the CLI can trade accuracy for time uniformly.
+spec→result contract defined in :mod:`repro.experiments.api` — as its one
+entry point; ``python -m repro <name>`` is the one command line.  Results
+are structured data with a ``render()`` method that prints the same
+rows/series the paper reports, plus the summary lines that check the
+paper's claims; specs carry the shared vocabulary (seeds, duration, town,
+workers, transport, contention) so the benchmark harness and the CLI can
+trade accuracy for time uniformly.  Experiments that tabulate a shared set
+of drives (the Table 2 configuration suite, the join-timeout grid) expose
+that step as a classmethod on their result, e.g.
+``Table2Result.from_suite(suite)``, so one set of drives can feed several
+artifacts.
 
 Importing this package registers every experiment in
 :data:`repro.experiments.api.REGISTRY` (registration happens at module
@@ -42,11 +47,13 @@ from . import (
     town_runs,
     transport_matrix,
 )
+from . import channel_assign  # last, so `python -m repro list` ends with it
 
 __all__ = [
     "api",
     "ap_density",
     "appendix_knapsack",
+    "channel_assign",
     "common",
     "dense_town",
     "fig2_join_validation",

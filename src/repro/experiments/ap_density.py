@@ -13,7 +13,7 @@ Two observations to reproduce:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from ..analysis.reporting import format_table
 from ..core.schedule import OperationMode
@@ -23,9 +23,9 @@ from ..sim.cc import TransportSpec
 from ..sim.contention import ContentionSpec
 from ..sim.engine import PeriodicProcess, Simulator
 from ..workloads.town import build_town
-from .api import ExperimentSpec, register, warn_deprecated
+from .api import ExperimentSpec, register
 
-__all__ = ["DensitySpec", "DensityRow", "DensityResult", "run", "run_spec", "main"]
+__all__ = ["DensitySpec", "DensityRow", "DensityResult", "run_spec"]
 
 
 @dataclass
@@ -107,18 +107,19 @@ class DensitySpec(ExperimentSpec):
     towns: Tuple[str, ...] = ("sparse", "amherst", "dense")
 
 
-def _run(
-    towns: Sequence[str],
-    seeds: Sequence[int],
-    duration_s: float,
-    transport: Optional[TransportSpec] = None,
-    contention: Optional[ContentionSpec] = None,
-) -> DensityResult:
+@register("density", DensitySpec, summary="AP density vs Spider performance")
+def run_spec(spec: DensitySpec) -> DensityResult:
     rows = []
-    for town in towns:
+    for town in spec.towns:
         per_seed = [
-            _run_one(town, seed, duration_s, transport=transport, contention=contention)
-            for seed in seeds
+            _run_one(
+                town,
+                seed,
+                spec.duration_s,
+                transport=spec.transport,
+                contention=spec.contention,
+            )
+            for seed in spec.seeds
         ]
         merged_share: Dict[int, float] = {}
         for row in per_seed:
@@ -134,27 +135,3 @@ def _run(
             )
         )
     return DensityResult(rows=rows)
-
-
-@register("density", DensitySpec, summary="AP density vs Spider performance")
-def run_spec(spec: DensitySpec) -> DensityResult:
-    return _run(spec.towns, spec.seeds, spec.duration_s, transport=spec.transport, contention=spec.contention)
-
-
-def run(
-    towns: Sequence[str] = ("sparse", "amherst", "dense"),
-    seeds: Sequence[int] = (0, 1),
-    duration_s: float = 600.0,
-) -> DensityResult:
-    """Deprecated shim: execute the experiment and return its result."""
-    warn_deprecated("ap_density.run(...)", "run_spec(DensitySpec(...))")
-    return _run(towns, seeds, duration_s)
-
-
-def main() -> None:
-    """Command-line entry point."""
-    print(run_spec().unwrap().render())
-
-
-if __name__ == "__main__":
-    main()

@@ -1,9 +1,6 @@
 """Unified spec -> envelope contract for the experiment modules.
 
-Historically every experiment module grew its own ``run(...)`` signature —
-a mix of ad-hoc keyword arguments (``seed`` vs ``seeds``, ``town`` vs
-``town_preset`` vs ``towns``) returning bare result objects that raised on
-the first failed trial.  This module is the other half of the
+This module is the other half of the
 :class:`~repro.experiments.common.TownTrialSpec` redesign, lifted from one
 trial to one whole experiment:
 
@@ -19,19 +16,15 @@ trial to one whole experiment:
   exposes: it executes the experiment and returns the same
   :class:`~repro.runner.TrialResult` envelope the trial pool uses, so a
   failed experiment reports ``ok=False`` with a diagnosis instead of
-  unwinding a whole artifact regeneration.  ``envelope.unwrap()`` restores
-  the old raise-on-failure behaviour.
+  unwinding a whole artifact regeneration.  ``envelope.unwrap()`` gives
+  raise-on-failure semantics.
 * :func:`register` wires a module's spec class and runner into the global
-  :data:`REGISTRY`, which is what ``python -m repro`` dispatches from.
-
-The old ``run(...)`` signatures survive as thin shims that emit
-:class:`DeprecationWarning` (see :func:`warn_deprecated`) and forward to
-the same implementation, so existing callers keep working bit-identically.
+  :data:`REGISTRY`, which is what ``python -m repro`` — the one
+  command-line entry point — dispatches from.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, fields, is_dataclass
 from typing import Any, Callable, Dict, List, Optional, Tuple, Type
 
@@ -49,7 +42,6 @@ __all__ = [
     "experiment_names",
     "run_experiment",
     "spec_from_options",
-    "warn_deprecated",
     "to_jsonable",
 ]
 
@@ -131,7 +123,7 @@ def register(
 
         @register("fig5", Fig5Spec, summary="association success vs f6")
         def run_spec(spec):            # receives a Fig5Spec
-            return _run(...)           # returns the bare Fig5Result
+            ...                        # returns the bare Fig5Result
 
     The decorated name is rebound to an enveloping wrapper: calling it
     (with a spec, or with no argument for the spec class's defaults)
@@ -233,19 +225,6 @@ def spec_from_options(spec_cls: Type[ExperimentSpec], **overrides: Any) -> Exper
     names = {f.name for f in fields(spec_cls)}
     kept = {k: v for k, v in overrides.items() if v is not None and k in names}
     return spec_cls(**kept)
-
-
-def warn_deprecated(old: str, new: str) -> None:
-    """Emit the standard shim warning: ``old`` still works, ``new`` is it.
-
-    ``stacklevel=3`` points the warning at the *caller* of the deprecated
-    shim, not at the shim or this helper.
-    """
-    warnings.warn(
-        f"{old} is deprecated; use {new}",
-        DeprecationWarning,
-        stacklevel=3,
-    )
 
 
 def to_jsonable(obj: Any) -> Any:

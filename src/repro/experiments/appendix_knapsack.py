@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import List, Sequence, Tuple
+from typing import List, Tuple
 
 from ..analysis.reporting import format_table
 from ..core.ap_selection import (
@@ -25,16 +25,14 @@ from ..core.ap_selection import (
     knapsack_select_greedy,
 )
 from ..sim.engine import Simulator
-from .api import ExperimentSpec, register, warn_deprecated
+from .api import ExperimentSpec, register
 
 __all__ = [
     "KnapsackSpec",
     "KnapsackTrialRow",
     "KnapsackResult",
     "random_instance",
-    "run",
     "run_spec",
-    "main",
 ]
 
 
@@ -87,7 +85,7 @@ class KnapsackResult:
 
     def render(self) -> str:
         """Render the result as printable text."""
-        return format_table(
+        table = format_table(
             ["n", "DP value", "greedy", "brute", "DP ms", "greedy ms", "brute ms"],
             [
                 (
@@ -103,6 +101,10 @@ class KnapsackResult:
             ],
             title="Appendix A: exact vs heuristic multi-AP selection",
         )
+        return (
+            f"{table}\n"
+            f"greedy/optimal worst ratio: {self.greedy_optimality_ratio():.3f}"
+        )
 
 
 @dataclass(frozen=True)
@@ -114,21 +116,20 @@ class KnapsackSpec(ExperimentSpec):
     brute_force_limit: int = 16
 
 
-def _run(
-    sizes: Sequence[int], budget: float, brute_force_limit: int, seed: int
-) -> KnapsackResult:
+@register("knapsack", KnapsackSpec, summary="exact vs heuristic multi-AP selection")
+def run_spec(spec: KnapsackSpec) -> KnapsackResult:
     rows = []
-    for n in sizes:
-        options = random_instance(n, seed=seed, budget=budget)
+    for n in spec.sizes:
+        options = random_instance(n, seed=spec.seed, budget=spec.budget)
         t0 = time.perf_counter()
-        dp_value, _ = knapsack_select_dp(options, budget, resolution=0.1)
+        dp_value, _ = knapsack_select_dp(options, spec.budget, resolution=0.1)
         dp_ms = 1e3 * (time.perf_counter() - t0)
         t0 = time.perf_counter()
-        greedy_value, _ = knapsack_select_greedy(options, budget)
+        greedy_value, _ = knapsack_select_greedy(options, spec.budget)
         greedy_ms = 1e3 * (time.perf_counter() - t0)
-        if n <= brute_force_limit:
+        if n <= spec.brute_force_limit:
             t0 = time.perf_counter()
-            brute_value, _ = knapsack_select_bruteforce(options, budget)
+            brute_value, _ = knapsack_select_bruteforce(options, spec.budget)
             brute_ms = 1e3 * (time.perf_counter() - t0)
         else:
             brute_value, brute_ms = float("nan"), float("nan")
@@ -143,31 +144,4 @@ def _run(
                 brute_time_ms=brute_ms,
             )
         )
-    return KnapsackResult(budget=budget, rows=rows)
-
-
-@register("knapsack", KnapsackSpec, summary="exact vs heuristic multi-AP selection")
-def run_spec(spec: KnapsackSpec) -> KnapsackResult:
-    return _run(spec.sizes, spec.budget, spec.brute_force_limit, spec.seed)
-
-
-def run(
-    sizes: Sequence[int] = (4, 8, 12, 16, 20, 40),
-    budget: float = 30.0,
-    brute_force_limit: int = 16,
-    seed: int = 0,
-) -> KnapsackResult:
-    """Deprecated shim: execute the experiment and return its result."""
-    warn_deprecated("appendix_knapsack.run(...)", "run_spec(KnapsackSpec(...))")
-    return _run(sizes, budget, brute_force_limit, seed)
-
-
-def main() -> None:
-    """Command-line entry point."""
-    result = run_spec().unwrap()
-    print(result.render())
-    print(f"greedy/optimal worst ratio: {result.greedy_optimality_ratio():.3f}")
-
-
-if __name__ == "__main__":
-    main()
+    return KnapsackResult(budget=spec.budget, rows=rows)

@@ -62,7 +62,6 @@ __all__ = [
     "apply_strategy",
     "run_assign_trial",
     "run_spec",
-    "main",
 ]
 
 #: AP channel-map strategies, in presentation order.
@@ -364,12 +363,3 @@ def run_spec(spec: ChannelAssignSpec) -> ChannelAssignResult:
         channels=list(spec.channels),
     )
 
-
-def main() -> None:
-    """Command-line entry point."""
-    result = run_spec().unwrap()
-    print(result.render())
-
-
-if __name__ == "__main__":
-    main()

@@ -40,7 +40,6 @@ __all__ = [
     "DenseTownResult",
     "run_dense_trial",
     "run_spec",
-    "main",
 ]
 
 
@@ -249,12 +248,3 @@ def run_spec(spec: DenseTownSpec) -> DenseTownResult:
     )
     return DenseTownResult(rows=[e.unwrap() for e in envelopes])
 
-
-def main() -> None:
-    """Command-line entry point."""
-    result = run_spec().unwrap()
-    print(result.render())
-
-
-if __name__ == "__main__":
-    main()

@@ -33,9 +33,7 @@ from ..sim.faults import (
     RandomOutages,
 )
 from ..obs.telemetry import TelemetrySnapshot
-from ..sim.cc import TransportSpec
-from ..sim.contention import ContentionSpec
-from .api import ExperimentSpec, register, warn_deprecated
+from .api import ExperimentSpec, register
 from .common import AggregatedMetrics, TownTrialSpec, aggregate_town_trials
 from .town_runs import spider_factory, stock_factory
 
@@ -45,9 +43,7 @@ __all__ = [
     "FaultSweepResult",
     "BASELINE_SCENARIO",
     "scenarios",
-    "run",
     "run_spec",
-    "main",
 ]
 
 BASELINE_SCENARIO = "no faults"
@@ -217,28 +213,18 @@ class FaultSweepSpec(ExperimentSpec):
     scenario_names: Optional[Tuple[str, ...]] = None
 
 
-def _run(
-    seeds: Sequence[int],
-    duration_s: float,
-    town: str,
-    workers: Optional[int],
-    timeout_s: Optional[float],
-    retries: Optional[int],
-    scenario_names: Optional[Sequence[str]],
-    telemetry: bool = False,
-    transport: Optional[TransportSpec] = None,
-    contention: Optional[ContentionSpec] = None,
-) -> FaultSweepResult:
+@register("fault-sweep", FaultSweepSpec, summary="join failures under injected faults")
+def run_spec(spec: FaultSweepSpec) -> FaultSweepResult:
     """The full ``scenario x client x seed`` grid fans out as one batch;
     trials that crash or hang are dropped with a warning (the envelope
     machinery) rather than sinking the sweep.
     """
-    plans = scenarios(duration_s)
-    if scenario_names is not None:
-        missing = set(scenario_names) - set(plans)
+    plans = scenarios(spec.duration_s)
+    if spec.scenario_names is not None:
+        missing = set(spec.scenario_names) - set(plans)
         if missing:
             raise KeyError(f"unknown scenarios: {sorted(missing)}")
-        plans = {name: plans[name] for name in scenario_names}
+        plans = {name: plans[name] for name in spec.scenario_names}
     clients: List[Tuple[str, object]] = [
         (SPIDER, spider_factory(OperationMode.single_channel(1), 7)),
         (STOCK, stock_factory()),
@@ -253,21 +239,21 @@ def _run(
             factory=factory,
             label=f"{scenario} / {client_label}",
             seed=seed,
-            duration_s=duration_s,
-            town=town,
+            duration_s=spec.duration_s,
+            town=spec.town,
             faults=plan,
-            transport=transport,
-            contention=contention,
+            transport=spec.transport,
+            contention=spec.contention,
         )
         for scenario, client_label, factory, plan in grid
-        for seed in seeds
+        for seed in spec.seeds
     ]
     per_label = aggregate_town_trials(
         specs,
-        workers=workers,
-        timeout_s=timeout_s,
-        retries=retries,
-        telemetry=True if telemetry else None,
+        workers=spec.workers,
+        timeout_s=spec.timeout_s,
+        retries=spec.retries,
+        telemetry=True if spec.telemetry else None,
     )
     rows = [
         _pool_row(
@@ -281,7 +267,7 @@ def _run(
         for scenario, client_label, _factory, _plan in grid
     ]
     snapshots = None
-    if telemetry:
+    if spec.telemetry:
         # Grid-then-seed order mirrors the spec batch, so serial and
         # parallel sweeps export identical snapshot sequences.
         snapshots = tuple(
@@ -294,44 +280,5 @@ def _run(
             if trial.telemetry is not None
         )
     return FaultSweepResult(
-        rows=rows, duration_s=duration_s, seeds=seeds, telemetry=snapshots
+        rows=rows, duration_s=spec.duration_s, seeds=spec.seeds, telemetry=snapshots
     )
-
-
-@register("fault-sweep", FaultSweepSpec, summary="join failures under injected faults")
-def run_spec(spec: FaultSweepSpec) -> FaultSweepResult:
-    return _run(
-        spec.seeds,
-        spec.duration_s,
-        spec.town,
-        spec.workers,
-        spec.timeout_s,
-        spec.retries,
-        spec.scenario_names,
-        telemetry=spec.telemetry,
-        transport=spec.transport,
-        contention=spec.contention,
-    )
-
-
-def run(
-    seeds: Sequence[int] = (0, 1),
-    duration_s: float = 300.0,
-    town: str = "amherst",
-    workers: Optional[int] = None,
-    timeout_s: Optional[float] = None,
-    retries: Optional[int] = None,
-    scenario_names: Optional[Sequence[str]] = None,
-) -> FaultSweepResult:
-    """Deprecated shim: execute the sweep and return its structured result."""
-    warn_deprecated("fault_sweep.run(...)", "run_spec(FaultSweepSpec(...))")
-    return _run(seeds, duration_s, town, workers, timeout_s, retries, scenario_names)
-
-
-def main() -> None:
-    """Command-line entry point."""
-    print(run_spec().unwrap().render())
-
-
-if __name__ == "__main__":
-    main()

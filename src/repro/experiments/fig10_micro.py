@@ -16,7 +16,7 @@ overhead, with the faster schedule winning at high backhaul bandwidth.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from ..analysis.reporting import format_table
 from ..core.link_manager import SpiderConfig
@@ -27,10 +27,10 @@ from ..sim.contention import ContentionSpec
 from ..sim.engine import Simulator
 from ..sim.stock_client import StockClient
 from ..workloads.town import lab_topology
-from .api import ExperimentSpec, register, warn_deprecated
+from .api import ExperimentSpec, register
 from .fig7_tcp_fraction import LAB_WIRED_LATENCY_S
 
-__all__ = ["Fig10Spec", "Fig10Result", "run", "run_spec", "main"]
+__all__ = ["Fig10Spec", "Fig10Result", "run_spec"]
 
 CH_A, CH_B = 1, 11
 WARMUP_S = 12.0
@@ -131,52 +131,21 @@ class Fig10Spec(ExperimentSpec):
     measure_s: float = MEASURE_S
 
 
-def _run(
-    backhauls_mbps: Sequence[float],
-    labels: Sequence[str],
-    seeds: Sequence[int],
-    measure_s: float,
-    transport: Optional[TransportSpec] = None,
-    contention: Optional[ContentionSpec] = None,
-) -> Fig10Result:
-    series: Dict[str, List[float]] = {label: [] for label in labels}
-    for backhaul in backhauls_mbps:
-        for label in labels:
-            values = [
-                _measure(backhaul * 1e6, label, seed, measure_s, transport)
-                for seed in seeds
-            ]
-            series[label].append(sum(values) / len(values) / 1e3)
-    return Fig10Result(backhauls_mbps=list(backhauls_mbps), throughput_kBps=series)
-
-
 @register("fig10", Fig10Spec, summary="aggregate throughput vs backhaul (lab)")
 def run_spec(spec: Fig10Spec) -> Fig10Result:
-    return _run(
-        spec.backhauls_mbps,
-        spec.labels,
-        spec.seeds,
-        spec.measure_s,
-        transport=spec.transport,
-        contention=spec.contention,
-    )
-
-
-def run(
-    backhauls_mbps: Sequence[float] = (0.5, 1.0, 2.0, 3.0, 4.0, 5.0),
-    labels: Sequence[str] = CONFIG_LABELS,
-    seeds: Sequence[int] = (0, 1),
-    measure_s: float = MEASURE_S,
-) -> Fig10Result:
-    """Deprecated shim: execute the experiment and return its result."""
-    warn_deprecated("fig10_micro.run(...)", "run_spec(Fig10Spec(...))")
-    return _run(backhauls_mbps, labels, seeds, measure_s)
-
-
-def main() -> None:
-    """Command-line entry point."""
-    print(run_spec().unwrap().render())
-
-
-if __name__ == "__main__":
-    main()
+    series: Dict[str, List[float]] = {label: [] for label in spec.labels}
+    for backhaul in spec.backhauls_mbps:
+        for label in spec.labels:
+            values = [
+                _measure(
+                    backhaul * 1e6,
+                    label,
+                    seed,
+                    spec.measure_s,
+                    transport=spec.transport,
+                    contention=spec.contention,
+                )
+                for seed in spec.seeds
+            ]
+            series[label].append(sum(values) / len(values) / 1e3)
+    return Fig10Result(backhauls_mbps=list(spec.backhauls_mbps), throughput_kBps=series)

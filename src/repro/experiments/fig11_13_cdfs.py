@@ -15,11 +15,11 @@ Derived from the same drives as Table 2:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from ..analysis.reporting import format_cdf
 from ..analysis.stats import percentile
-from .api import ExperimentSpec, register, warn_deprecated
+from .api import ExperimentSpec, register
 from .town_runs import (
     CONFIG_CH1_MULTI_AP,
     CONFIG_CH1_SINGLE_AP,
@@ -29,7 +29,7 @@ from .town_runs import (
     run_configuration_suite,
 )
 
-__all__ = ["Fig11to13Spec", "Fig11to13Result", "run", "run_spec", "main", "FOUR_CONFIGS"]
+__all__ = ["Fig11to13Spec", "Fig11to13Result", "run_spec", "FOUR_CONFIGS"]
 
 FOUR_CONFIGS = (
     CONFIG_CH1_MULTI_AP,
@@ -49,6 +49,23 @@ class Fig11to13Result:
     connection_durations: Dict[str, List[float]]
     disruption_durations: Dict[str, List[float]]
     instantaneous_kBps: Dict[str, List[float]]
+
+    @classmethod
+    def from_suite(
+        cls, suite: ConfigurationSuite, labels: Sequence[str] = FOUR_CONFIGS
+    ) -> "Fig11to13Result":
+        """Pool each configuration's distributions from the suite's drives."""
+        return cls(
+            connection_durations={
+                label: suite[label].connection_durations_s for label in labels
+            },
+            disruption_durations={
+                label: suite[label].disruption_durations_s for label in labels
+            },
+            instantaneous_kBps={
+                label: suite[label].instantaneous_kBps for label in labels
+            },
+        )
 
     def median_connection(self, label: str) -> float:
         """Median connection duration for the configuration."""
@@ -84,68 +101,15 @@ class Fig11to13Spec(ExperimentSpec):
     labels: Tuple[str, ...] = FOUR_CONFIGS
 
 
-def _run(
-    seeds: Sequence[int],
-    duration_s: float,
-    suite: Optional[ConfigurationSuite],
-    labels: Sequence[str],
-    workers: Optional[int] = None,
-    transport=None,
-    contention=None,
-) -> Fig11to13Result:
-    if suite is None:
-        suite = run_configuration_suite(
-            seeds=seeds,
-            duration_s=duration_s,
-            include_cambridge=False,
-            labels=labels,
-            workers=workers,
-            transport=transport,
-            contention=contention,
-        )
-    connection: Dict[str, List[float]] = {}
-    disruption: Dict[str, List[float]] = {}
-    bandwidth: Dict[str, List[float]] = {}
-    for label in labels:
-        metrics = suite[label]
-        connection[label] = metrics.connection_durations_s
-        disruption[label] = metrics.disruption_durations_s
-        bandwidth[label] = metrics.instantaneous_kBps
-    return Fig11to13Result(
-        connection_durations=connection,
-        disruption_durations=disruption,
-        instantaneous_kBps=bandwidth,
-    )
-
-
 @register("fig11-13", Fig11to13Spec, summary="connection/disruption/bandwidth CDFs")
 def run_spec(spec: Fig11to13Spec) -> Fig11to13Result:
-    return _run(
-        spec.seeds,
-        spec.duration_s,
-        None,
-        spec.labels,
+    suite = run_configuration_suite(
+        seeds=spec.seeds,
+        duration_s=spec.duration_s,
+        include_cambridge=False,
+        labels=spec.labels,
         workers=spec.workers,
         transport=spec.transport,
         contention=spec.contention,
     )
-
-
-def run(
-    seeds: Sequence[int] = (0, 1),
-    duration_s: float = 900.0,
-    suite: Optional[ConfigurationSuite] = None,
-    labels: Sequence[str] = FOUR_CONFIGS,
-) -> Fig11to13Result:
-    """Deprecated shim: execute the experiment and return its result."""
-    warn_deprecated("fig11_13_cdfs.run(...)", "run_spec(Fig11to13Spec(...))")
-    return _run(seeds, duration_s, suite, labels)
-
-
-def main() -> None:
-    """Command-line entry point."""
-    print(run_spec().unwrap().render())
-
-
-if __name__ == "__main__":
-    main()
+    return Fig11to13Result.from_suite(suite, spec.labels)

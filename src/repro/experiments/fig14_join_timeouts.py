@@ -9,15 +9,15 @@ on one channel."
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from ..analysis.reporting import format_cdf
 from ..analysis.stats import percentile
-from .api import ExperimentSpec, register, warn_deprecated
+from .api import ExperimentSpec, register
 from .common import AggregatedMetrics
 from .timeout_grid import run_grid
 
-__all__ = ["Fig14Spec", "Fig14Result", "run", "run_spec", "main"]
+__all__ = ["Fig14Spec", "Fig14Result", "run_spec"]
 
 FIG14_LABELS = (
     "ch1, ll=100ms, dhcp=200ms, 7if",
@@ -35,6 +35,17 @@ CDF_POINTS_S = (0.5, 1.0, 2.0, 3.0, 5.0, 8.0, 12.0, 15.0)
 class Fig14Result:
     """Join-time distributions per timeout configuration."""
     join_times: Dict[str, List[float]]
+
+    @classmethod
+    def from_grid(
+        cls,
+        grid: Dict[str, AggregatedMetrics],
+        labels: Sequence[str] = FIG14_LABELS,
+    ) -> "Fig14Result":
+        """Pool each configuration's join times from the grid's drives."""
+        return cls(
+            join_times={label: grid[label].pooled_join_times() for label in labels}
+        )
 
     def median(self, label: str) -> float:
         """Median of the named curve's join times."""
@@ -58,57 +69,14 @@ class Fig14Spec(ExperimentSpec):
     labels: Tuple[str, ...] = FIG14_LABELS
 
 
-def _run(
-    labels: Sequence[str],
-    seeds: Sequence[int],
-    duration_s: float,
-    grid: Optional[Dict[str, AggregatedMetrics]],
-    workers: Optional[int] = None,
-    transport=None,
-    contention=None,
-) -> Fig14Result:
-    if grid is None:
-        grid = run_grid(
-            labels=labels,
-            seeds=seeds,
-            duration_s=duration_s,
-            workers=workers,
-            transport=transport,
-            contention=contention,
-        )
-    return Fig14Result(
-        join_times={label: grid[label].pooled_join_times() for label in labels}
-    )
-
-
 @register("fig14", Fig14Spec, summary="join time CDFs vs DHCP timeout")
 def run_spec(spec: Fig14Spec) -> Fig14Result:
-    return _run(
-        spec.labels,
-        spec.seeds,
-        spec.duration_s,
-        None,
+    grid = run_grid(
+        labels=spec.labels,
+        seeds=spec.seeds,
+        duration_s=spec.duration_s,
         workers=spec.workers,
         transport=spec.transport,
         contention=spec.contention,
     )
-
-
-def run(
-    labels: Sequence[str] = FIG14_LABELS,
-    seeds: Sequence[int] = (0, 1),
-    duration_s: float = 300.0,
-    grid: Optional[Dict[str, AggregatedMetrics]] = None,
-) -> Fig14Result:
-    """Deprecated shim: execute the experiment and return its result."""
-    warn_deprecated("fig14_join_timeouts.run(...)", "run_spec(Fig14Spec(...))")
-    return _run(labels, seeds, duration_s, grid)
-
-
-def main() -> None:
-    """Command-line entry point."""
-    print(run_spec().unwrap().render())
-
-
-if __name__ == "__main__":
-    main()
+    return Fig14Result.from_grid(grid, spec.labels)

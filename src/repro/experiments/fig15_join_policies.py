@@ -10,15 +10,15 @@ slows the join pipeline.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from ..analysis.reporting import format_cdf
 from ..analysis.stats import percentile
-from .api import ExperimentSpec, register, warn_deprecated
+from .api import ExperimentSpec, register
 from .common import AggregatedMetrics
 from .timeout_grid import run_grid
 
-__all__ = ["Fig15Spec", "Fig15Result", "run", "run_spec", "main"]
+__all__ = ["Fig15Spec", "Fig15Result", "run_spec"]
 
 FIG15_LABELS = (
     "ch1, default timers, 1if",
@@ -36,6 +36,17 @@ CDF_POINTS_S = (0.5, 1.0, 2.0, 3.0, 5.0, 8.0, 12.0, 15.0)
 class Fig15Result:
     """Join-time distributions per scheduling policy."""
     join_times: Dict[str, List[float]]
+
+    @classmethod
+    def from_grid(
+        cls,
+        grid: Dict[str, AggregatedMetrics],
+        labels: Sequence[str] = FIG15_LABELS,
+    ) -> "Fig15Result":
+        """Pool each configuration's join times from the grid's drives."""
+        return cls(
+            join_times={label: grid[label].pooled_join_times() for label in labels}
+        )
 
     def median(self, label: str) -> float:
         """Median of the named curve's join times."""
@@ -57,6 +68,8 @@ class Fig15Result:
                     CDF_POINTS_S,
                 )
             )
+        if any(self.join_times.values()):
+            lines.append(f"fastest policy: {self.fastest_policy()}")
         return "\n".join(lines)
 
 
@@ -67,59 +80,14 @@ class Fig15Spec(ExperimentSpec):
     labels: Tuple[str, ...] = FIG15_LABELS
 
 
-def _run(
-    labels: Sequence[str],
-    seeds: Sequence[int],
-    duration_s: float,
-    grid: Optional[Dict[str, AggregatedMetrics]],
-    workers: Optional[int] = None,
-    transport=None,
-    contention=None,
-) -> Fig15Result:
-    if grid is None:
-        grid = run_grid(
-            labels=labels,
-            seeds=seeds,
-            duration_s=duration_s,
-            workers=workers,
-            transport=transport,
-            contention=contention,
-        )
-    return Fig15Result(
-        join_times={label: grid[label].pooled_join_times() for label in labels}
-    )
-
-
 @register("fig15", Fig15Spec, summary="join delay across scheduling policies")
 def run_spec(spec: Fig15Spec) -> Fig15Result:
-    return _run(
-        spec.labels,
-        spec.seeds,
-        spec.duration_s,
-        None,
+    grid = run_grid(
+        labels=spec.labels,
+        seeds=spec.seeds,
+        duration_s=spec.duration_s,
         workers=spec.workers,
         transport=spec.transport,
         contention=spec.contention,
     )
-
-
-def run(
-    labels: Sequence[str] = FIG15_LABELS,
-    seeds: Sequence[int] = (0, 1),
-    duration_s: float = 300.0,
-    grid: Optional[Dict[str, AggregatedMetrics]] = None,
-) -> Fig15Result:
-    """Deprecated shim: execute the experiment and return its result."""
-    warn_deprecated("fig15_join_policies.run(...)", "run_spec(Fig15Spec(...))")
-    return _run(labels, seeds, duration_s, grid)
-
-
-def main() -> None:
-    """Command-line entry point."""
-    result = run_spec().unwrap()
-    print(result.render())
-    print(f"fastest policy: {result.fastest_policy()}")
-
-
-if __name__ == "__main__":
-    main()
+    return Fig15Result.from_grid(grid, spec.labels)

@@ -17,12 +17,12 @@ drives.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List
 
 from ..analysis.reporting import format_cdf
 from ..analysis.stats import percentile
 from ..workloads.mesh_users import MeshUserConfig, generate_mesh_trace
-from .api import ExperimentSpec, register, warn_deprecated
+from .api import ExperimentSpec, register
 from .town_runs import (
     CONFIG_CH1_MULTI_AP,
     CONFIG_MULTI_CH_MULTI_AP,
@@ -30,10 +30,12 @@ from .town_runs import (
     run_configuration_suite,
 )
 
-__all__ = ["UsabilitySpec", "UsabilityResult", "run", "run_spec", "main"]
+__all__ = ["UsabilitySpec", "UsabilityResult", "run_spec"]
 
 CONNECTION_POINTS_S = (2.0, 5.0, 10.0, 20.0, 40.0, 80.0, 100.0)
 GAP_POINTS_S = (5.0, 15.0, 30.0, 60.0, 120.0, 300.0)
+#: The Table 2 configurations whose supply is compared against demand.
+SUPPLY_LABELS = (CONFIG_CH1_MULTI_AP, CONFIG_MULTI_CH_MULTI_AP)
 
 
 @dataclass
@@ -43,6 +45,23 @@ class UsabilityResult:
     user_gaps: List[float]
     spider_connections: Dict[str, List[float]]
     spider_disruptions: Dict[str, List[float]]
+
+    @classmethod
+    def from_suite(
+        cls, suite: ConfigurationSuite, mesh_seed: int = 0
+    ) -> "UsabilityResult":
+        """Set the suite's supply against a synthetic mesh-user trace."""
+        trace = generate_mesh_trace(MeshUserConfig(), seed=mesh_seed)
+        return cls(
+            user_connection_durations=trace.connection_durations(),
+            user_gaps=trace.inter_connection_gaps(),
+            spider_connections={
+                label: suite[label].connection_durations_s for label in SUPPLY_LABELS
+            },
+            spider_disruptions={
+                label: suite[label].disruption_durations_s for label in SUPPLY_LABELS
+            },
+        )
 
     # ------------------------------------------------------------------
     def supply_covers_demand_fraction(self, label: str = CONFIG_CH1_MULTI_AP) -> float:
@@ -70,6 +89,14 @@ class UsabilityResult:
         lines.append(format_cdf("users' inter-connection", self.user_gaps, GAP_POINTS_S))
         for label, values in self.spider_disruptions.items():
             lines.append(format_cdf(f"Spider {label}", values, GAP_POINTS_S))
+        lines.append(
+            "user flows covered by ch1 multi-AP median connection: "
+            f"{100 * self.supply_covers_demand_fraction():.0f}%"
+        )
+        lines.append(
+            "multi-channel disruptions comparable to user gaps: "
+            f"{self.disruption_comparable_to_user_gaps()}"
+        )
         return "\n".join(lines)
 
 
@@ -81,75 +108,15 @@ class UsabilitySpec(ExperimentSpec):
     mesh_seed: int = 0
 
 
-def _run(
-    seeds: Sequence[int],
-    duration_s: float,
-    mesh_config: MeshUserConfig,
-    mesh_seed: int,
-    suite: Optional[ConfigurationSuite],
-    workers: Optional[int] = None,
-    transport=None,
-    contention=None,
-) -> UsabilityResult:
-    labels = (CONFIG_CH1_MULTI_AP, CONFIG_MULTI_CH_MULTI_AP)
-    if suite is None:
-        suite = run_configuration_suite(
-            seeds=seeds,
-            duration_s=duration_s,
-            include_cambridge=False,
-            labels=labels,
-            workers=workers,
-            transport=transport,
-            contention=contention,
-        )
-    trace = generate_mesh_trace(mesh_config, seed=mesh_seed)
-    return UsabilityResult(
-        user_connection_durations=trace.connection_durations(),
-        user_gaps=trace.inter_connection_gaps(),
-        spider_connections={label: suite[label].connection_durations_s for label in labels},
-        spider_disruptions={label: suite[label].disruption_durations_s for label in labels},
-    )
-
-
 @register("fig16-17", UsabilitySpec, summary="user demand vs Spider supply CDFs")
 def run_spec(spec: UsabilitySpec) -> UsabilityResult:
-    return _run(
-        spec.seeds,
-        spec.duration_s,
-        MeshUserConfig(),
-        spec.mesh_seed,
-        None,
+    suite = run_configuration_suite(
+        seeds=spec.seeds,
+        duration_s=spec.duration_s,
+        include_cambridge=False,
+        labels=SUPPLY_LABELS,
         workers=spec.workers,
         transport=spec.transport,
         contention=spec.contention,
     )
-
-
-def run(
-    seeds: Sequence[int] = (0, 1),
-    duration_s: float = 900.0,
-    mesh_config: MeshUserConfig = MeshUserConfig(),
-    mesh_seed: int = 0,
-    suite: Optional[ConfigurationSuite] = None,
-) -> UsabilityResult:
-    """Deprecated shim: execute the experiment and return its result."""
-    warn_deprecated("fig16_17_usability.run(...)", "run_spec(UsabilitySpec(...))")
-    return _run(seeds, duration_s, mesh_config, mesh_seed, suite)
-
-
-def main() -> None:
-    """Command-line entry point."""
-    result = run_spec().unwrap()
-    print(result.render())
-    print(
-        "user flows covered by ch1 multi-AP median connection: "
-        f"{100 * result.supply_covers_demand_fraction():.0f}%"
-    )
-    print(
-        "multi-channel disruptions comparable to user gaps: "
-        f"{result.disruption_comparable_to_user_gaps()}"
-    )
-
-
-if __name__ == "__main__":
-    main()
+    return UsabilityResult.from_suite(suite, spec.mesh_seed)

@@ -8,14 +8,14 @@ the simulation must agree within sampling error across the fraction sweep.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Tuple
 
 from ..analysis.reporting import format_series
 from ..model.join_model import JoinModelParams, join_probability
 from ..model.join_sim import JoinSimResult, simulate_join_probability
-from .api import ExperimentSpec, register, warn_deprecated
+from .api import ExperimentSpec, register
 
-__all__ = ["Fig2Spec", "Fig2Point", "Fig2Result", "run", "run_spec", "main"]
+__all__ = ["Fig2Spec", "Fig2Point", "Fig2Result", "run_spec"]
 
 PAPER_PARAMS = JoinModelParams(
     period_s=0.5,
@@ -73,6 +73,7 @@ class Fig2Result:
                     "p(join)",
                 )
             )
+        blocks.append(f"max |model - sim| = {self.max_model_sim_gap():.3f}")
         return "\n".join(blocks)
 
 
@@ -86,26 +87,21 @@ class Fig2Spec(ExperimentSpec):
     trials_per_run: int = 100
 
 
-def _run(
-    beta_maxes_s: Sequence[float],
-    fractions: Sequence[float],
-    runs: int,
-    trials_per_run: int,
-    seed: int,
-) -> Fig2Result:
+@register("fig2", Fig2Spec, summary="join probability: model vs Monte-Carlo")
+def run_spec(spec: Fig2Spec) -> Fig2Result:
     curves: Dict[float, List[Fig2Point]] = {}
-    for beta_max in beta_maxes_s:
+    for beta_max in spec.beta_maxes_s:
         params = PAPER_PARAMS.with_beta_max(beta_max)
         points = []
-        for fraction in fractions:
+        for fraction in spec.fractions:
             model_p = join_probability(params, fraction, TIME_IN_RANGE_S)
             sim: JoinSimResult = simulate_join_probability(
                 params,
                 fraction,
                 TIME_IN_RANGE_S,
-                runs=runs,
-                trials_per_run=trials_per_run,
-                seed=seed,
+                runs=spec.runs,
+                trials_per_run=spec.trials_per_run,
+                seed=spec.seed,
             )
             points.append(
                 Fig2Point(
@@ -117,37 +113,3 @@ def _run(
             )
         curves[beta_max] = points
     return Fig2Result(curves=curves)
-
-
-@register("fig2", Fig2Spec, summary="join probability: model vs Monte-Carlo")
-def run_spec(spec: Fig2Spec) -> Fig2Result:
-    return _run(
-        beta_maxes_s=spec.beta_maxes_s,
-        fractions=spec.fractions,
-        runs=spec.runs,
-        trials_per_run=spec.trials_per_run,
-        seed=spec.seed,
-    )
-
-
-def run(
-    beta_maxes_s: Sequence[float] = (5.0, 10.0),
-    fractions: Sequence[float] = tuple(round(0.1 * i, 2) for i in range(1, 11)),
-    runs: int = 30,
-    trials_per_run: int = 100,
-    seed: int = 0,
-) -> Fig2Result:
-    """Deprecated shim: regenerate both Fig. 2 curves."""
-    warn_deprecated("fig2_join_validation.run(...)", "run_spec(Fig2Spec(...))")
-    return _run(beta_maxes_s, fractions, runs, trials_per_run, seed)
-
-
-def main() -> None:
-    """Command-line entry point."""
-    result = run_spec().unwrap()
-    print(result.render())
-    print(f"max |model - sim| = {result.max_model_sim_gap():.3f}")
-
-
-if __name__ == "__main__":
-    main()

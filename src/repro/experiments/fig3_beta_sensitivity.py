@@ -10,14 +10,14 @@ caching and reduced timeouts (anything that shrinks βmax).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Tuple
 
 from ..analysis.reporting import format_series
-from ..model.join_model import JoinModelParams, join_probability
-from .api import ExperimentSpec, register, warn_deprecated
+from ..model.join_model import join_probability
+from .api import ExperimentSpec, register
 from .fig2_join_validation import PAPER_PARAMS, TIME_IN_RANGE_S
 
-__all__ = ["Fig3Spec", "Fig3Result", "run", "run_spec", "main"]
+__all__ = ["Fig3Spec", "Fig3Result", "run_spec"]
 
 
 @dataclass
@@ -47,41 +47,14 @@ class Fig3Spec(ExperimentSpec):
     time_in_range_s: float = TIME_IN_RANGE_S
 
 
-def _run(
-    fractions: Sequence[float],
-    beta_maxes_s: Sequence[float],
-    params: JoinModelParams,
-    time_in_range_s: float,
-) -> Fig3Result:
-    curves: Dict[float, List[float]] = {}
-    for fraction in fractions:
-        curves[fraction] = [
-            join_probability(params.with_beta_max(bm), fraction, time_in_range_s)
-            for bm in beta_maxes_s
-        ]
-    return Fig3Result(beta_maxes_s=list(beta_maxes_s), curves=curves)
-
-
 @register("fig3", Fig3Spec, summary="join probability vs beta_max (analytic)")
 def run_spec(spec: Fig3Spec) -> Fig3Result:
-    return _run(spec.fractions, spec.beta_maxes_s, PAPER_PARAMS, spec.time_in_range_s)
-
-
-def run(
-    fractions: Sequence[float] = (0.10, 0.25, 0.40, 0.50),
-    beta_maxes_s: Sequence[float] = (0.5, 1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0, 9.0, 10.0),
-    params: JoinModelParams = PAPER_PARAMS,
-    time_in_range_s: float = TIME_IN_RANGE_S,
-) -> Fig3Result:
-    """Deprecated shim: execute the experiment and return its result."""
-    warn_deprecated("fig3_beta_sensitivity.run(...)", "run_spec(Fig3Spec(...))")
-    return _run(fractions, beta_maxes_s, params, time_in_range_s)
-
-
-def main() -> None:
-    """Command-line entry point."""
-    print(run_spec().unwrap().render())
-
-
-if __name__ == "__main__":
-    main()
+    curves: Dict[float, List[float]] = {}
+    for fraction in spec.fractions:
+        curves[fraction] = [
+            join_probability(
+                PAPER_PARAMS.with_beta_max(bm), fraction, spec.time_in_range_s
+            )
+            for bm in spec.beta_maxes_s
+        ]
+    return Fig3Result(beta_maxes_s=list(spec.beta_maxes_s), curves=curves)

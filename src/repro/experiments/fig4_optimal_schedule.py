@@ -12,7 +12,7 @@ schedules time on channel 2; above it, channel 1 takes everything.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Sequence, Tuple
+from typing import List, Tuple
 
 from ..analysis.reporting import format_series
 from ..model.join_model import JoinModelParams
@@ -24,9 +24,9 @@ from ..model.optimizer import (
     dividing_speed,
     sweep_speeds,
 )
-from .api import ExperimentSpec, register, warn_deprecated
+from .api import ExperimentSpec, register
 
-__all__ = ["Fig4Spec", "Fig4Scenario", "Fig4Result", "run", "run_spec", "main"]
+__all__ = ["Fig4Spec", "Fig4Scenario", "Fig4Result", "run_spec"]
 
 PAPER_SPEEDS_MPS = (2.5, 3.3, 5.0, 6.6, 10.0, 20.0)
 FIG4_MODEL_PARAMS = JoinModelParams(beta_min_s=0.5, beta_max_s=10.0)
@@ -85,73 +85,40 @@ class Fig4Spec(ExperimentSpec):
     grid_steps: int = 16
 
 
-def _run(
-    scenarios: Dict[str, Tuple[float, float]],
-    speeds_mps: Sequence[float],
-    bw_bps: float,
-    range_m: float,
-    grid_steps: int,
-) -> Fig4Result:
+@register("fig4", Fig4Spec, summary="optimal per-channel bandwidth vs speed")
+def run_spec(spec: Fig4Spec) -> Fig4Result:
     out: List[Fig4Scenario] = []
-    for name, (joined_share, available_share) in scenarios.items():
+    for name, (joined_share, available_share) in FIG4_SCENARIOS.items():
         channels = [
-            ChannelState(1, joined_bps=joined_share * bw_bps),
-            ChannelState(2, available_bps=available_share * bw_bps),
+            ChannelState(1, joined_bps=joined_share * spec.bw_bps),
+            ChannelState(2, available_bps=available_share * spec.bw_bps),
         ]
         ch1: List[float] = []
         ch2: List[float] = []
         for _, result in sweep_speeds(
             channels,
-            speeds_mps,
+            spec.speeds_mps,
             params=FIG4_MODEL_PARAMS,
-            bw_bps=bw_bps,
-            range_m=range_m,
-            grid_steps=grid_steps,
+            bw_bps=spec.bw_bps,
+            range_m=spec.range_m,
+            grid_steps=spec.grid_steps,
         ):
             ch1.append(result.throughput_bps.get(1, 0.0))
             ch2.append(result.throughput_bps.get(2, 0.0))
         divide = dividing_speed(
             channels,
             params=FIG4_MODEL_PARAMS,
-            bw_bps=bw_bps,
-            range_m=range_m,
-            speed_grid=speeds_mps,
+            bw_bps=spec.bw_bps,
+            range_m=spec.range_m,
+            speed_grid=spec.speeds_mps,
         )
         out.append(
             Fig4Scenario(
                 name=name,
-                speeds_mps=list(speeds_mps),
+                speeds_mps=list(spec.speeds_mps),
                 ch1_bandwidth_bps=ch1,
                 ch2_bandwidth_bps=ch2,
                 dividing_speed_mps=divide,
             )
         )
     return Fig4Result(scenarios=out)
-
-
-@register("fig4", Fig4Spec, summary="optimal per-channel bandwidth vs speed")
-def run_spec(spec: Fig4Spec) -> Fig4Result:
-    return _run(
-        FIG4_SCENARIOS, spec.speeds_mps, spec.bw_bps, spec.range_m, spec.grid_steps
-    )
-
-
-def run(
-    scenarios: Dict[str, Tuple[float, float]] = FIG4_SCENARIOS,
-    speeds_mps: Sequence[float] = PAPER_SPEEDS_MPS,
-    bw_bps: float = DEFAULT_BW_BPS,
-    range_m: float = DEFAULT_RANGE_M,
-    grid_steps: int = 16,
-) -> Fig4Result:
-    """Deprecated shim: execute the experiment and return its result."""
-    warn_deprecated("fig4_optimal_schedule.run(...)", "run_spec(Fig4Spec(...))")
-    return _run(scenarios, speeds_mps, bw_bps, range_m, grid_steps)
-
-
-def main() -> None:
-    """Command-line entry point."""
-    print(run_spec().unwrap().render())
-
-
-if __name__ == "__main__":
-    main()

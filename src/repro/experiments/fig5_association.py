@@ -11,15 +11,13 @@ for smaller fractions plateau below 1.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from ..analysis.stats import cdf_at
 from ..core.link_manager import SpiderConfig
 from ..core.schedule import OperationMode
 from ..core.spider import SpiderClient
-from ..sim.cc import TransportSpec
-from ..sim.contention import ContentionSpec
-from .api import ExperimentSpec, register, warn_deprecated
+from .api import ExperimentSpec, register
 from .common import run_town_trials
 
 __all__ = [
@@ -27,9 +25,7 @@ __all__ = [
     "Fig5Spec",
     "Fig5Curve",
     "Fig5Result",
-    "run",
     "run_spec",
-    "main",
 ]
 
 PRIMARY_CHANNEL = 6
@@ -124,26 +120,19 @@ class Fig5Spec(ExperimentSpec):
     fractions: Tuple[float, ...] = (0.25, 0.50, 0.75, 1.0)
 
 
-def _run(
-    fractions: Sequence[float],
-    seeds: Sequence[int],
-    duration_s: float,
-    town: str,
-    workers: Optional[int] = None,
-    transport: Optional[TransportSpec] = None,
-    contention: Optional[ContentionSpec] = None,
-) -> Fig5Result:
+@register("fig5", Fig5Spec, summary="association success vs schedule fraction")
+def run_spec(spec: Fig5Spec) -> Fig5Result:
     curves: Dict[float, Fig5Curve] = {}
-    for fraction in fractions:
+    for fraction in spec.fractions:
         aggregated = run_town_trials(
             _factory(fraction),
             label=f"f6={fraction:.0%}",
-            seeds=seeds,
-            duration_s=duration_s,
-            town=town,
-            workers=workers,
-            transport=transport,
-            contention=contention,
+            seeds=spec.seeds,
+            duration_s=spec.duration_s,
+            town=spec.town,
+            workers=spec.workers,
+            transport=spec.transport,
+            contention=spec.contention,
         )
         times: List[float] = []
         attempts = 0
@@ -158,36 +147,3 @@ def _run(
             fraction=fraction, association_times_s=times, attempts_on_primary=attempts
         )
     return Fig5Result(curves=curves)
-
-
-@register("fig5", Fig5Spec, summary="association success vs schedule fraction")
-def run_spec(spec: Fig5Spec) -> Fig5Result:
-    return _run(
-        spec.fractions,
-        spec.seeds,
-        spec.duration_s,
-        spec.town,
-        workers=spec.workers,
-        transport=spec.transport,
-        contention=spec.contention,
-    )
-
-
-def run(
-    fractions: Sequence[float] = (0.25, 0.50, 0.75, 1.0),
-    seeds: Sequence[int] = (0, 1),
-    duration_s: float = 240.0,
-    town: str = "amherst",
-) -> Fig5Result:
-    """Deprecated shim: execute the experiment and return its result."""
-    warn_deprecated("fig5_association.run(...)", "run_spec(Fig5Spec(...))")
-    return _run(fractions, seeds, duration_s, town)
-
-
-def main() -> None:
-    """Command-line entry point."""
-    print(run_spec().unwrap().render())
-
-
-if __name__ == "__main__":
-    main()

@@ -11,14 +11,12 @@ lease by time t.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from ..analysis.stats import cdf_at, percentile
 from ..core.link_manager import SpiderConfig
 from ..core.spider import SpiderClient
-from ..sim.cc import TransportSpec
-from ..sim.contention import ContentionSpec
-from .api import ExperimentSpec, register, warn_deprecated
+from .api import ExperimentSpec, register
 from .common import run_town_trials
 from .fig5_association import schedule_for_fraction
 
@@ -27,9 +25,7 @@ __all__ = [
     "Fig6Spec",
     "Fig6Curve",
     "Fig6Result",
-    "run",
     "run_spec",
-    "main",
 ]
 
 CDF_POINTS_S = (0.5, 1.0, 2.0, 3.0, 5.0, 8.0, 12.0, 15.0)
@@ -118,26 +114,19 @@ class Fig6Spec(ExperimentSpec):
     configs: Tuple[Fig6Config, ...] = PAPER_CONFIGS
 
 
-def _run(
-    configs: Sequence[Fig6Config],
-    seeds: Sequence[int],
-    duration_s: float,
-    town: str,
-    workers: Optional[int] = None,
-    transport: Optional[TransportSpec] = None,
-    contention: Optional[ContentionSpec] = None,
-) -> Fig6Result:
+@register("fig6", Fig6Spec, summary="DHCP lease acquisition vs schedule/timeout")
+def run_spec(spec: Fig6Spec) -> Fig6Result:
     curves: Dict[str, Fig6Curve] = {}
-    for config in configs:
+    for config in spec.configs:
         aggregated = run_town_trials(
             _factory(config),
             label=config.label,
-            seeds=seeds,
-            duration_s=duration_s,
-            town=town,
-            workers=workers,
-            transport=transport,
-            contention=contention,
+            seeds=spec.seeds,
+            duration_s=spec.duration_s,
+            town=spec.town,
+            workers=spec.workers,
+            transport=spec.transport,
+            contention=spec.contention,
         )
         times: List[float] = []
         attempts = 0
@@ -152,36 +141,3 @@ def _run(
             config=config, dhcp_times_s=times, dhcp_attempts=attempts
         )
     return Fig6Result(curves=curves)
-
-
-@register("fig6", Fig6Spec, summary="DHCP lease acquisition vs schedule/timeout")
-def run_spec(spec: Fig6Spec) -> Fig6Result:
-    return _run(
-        spec.configs,
-        spec.seeds,
-        spec.duration_s,
-        spec.town,
-        workers=spec.workers,
-        transport=spec.transport,
-        contention=spec.contention,
-    )
-
-
-def run(
-    configs: Sequence[Fig6Config] = PAPER_CONFIGS,
-    seeds: Sequence[int] = (0, 1),
-    duration_s: float = 240.0,
-    town: str = "amherst",
-) -> Fig6Result:
-    """Deprecated shim: execute the experiment and return its result."""
-    warn_deprecated("fig6_dhcp.run(...)", "run_spec(Fig6Spec(...))")
-    return _run(configs, seeds, duration_s, town)
-
-
-def main() -> None:
-    """Command-line entry point."""
-    print(run_spec().unwrap().render())
-
-
-if __name__ == "__main__":
-    main()

@@ -10,7 +10,7 @@ the RTO floor, costs retransmission timeouts and slow-start restarts.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Sequence, Tuple
+from typing import List, Tuple
 
 from ..analysis.ascii_plot import sparkline
 from ..analysis.reporting import format_series
@@ -18,12 +18,11 @@ from ..core.link_manager import SpiderConfig
 from ..core.schedule import OperationMode
 from ..core.spider import SpiderClient
 from ..sim.engine import Simulator
-from ..sim.tcp import TcpParams
 from ..workloads.town import lab_topology
-from .api import ExperimentSpec, register, warn_deprecated
+from .api import ExperimentSpec, register
 from .fig5_association import schedule_for_fraction
 
-__all__ = ["Fig7Spec", "Fig7Result", "run", "run_spec", "main", "measure_lab_throughput"]
+__all__ = ["Fig7Spec", "Fig7Result", "run_spec", "measure_lab_throughput"]
 
 PERIOD_S = 0.4
 PRIMARY_CHANNEL = 6
@@ -44,7 +43,6 @@ def measure_lab_throughput(
     measure_s: float = MEASURE_S,
     primary_channel: int = PRIMARY_CHANNEL,
     loss_rate: float = 0.02,
-    tcp_params: TcpParams = TcpParams(),
     num_aps: int = 1,
     wired_latency_s: float = LAB_WIRED_LATENCY_S,
     transport=None,
@@ -70,9 +68,7 @@ def measure_lab_throughput(
     # mode under test before the measurement window opens.
     join_mode = OperationMode.single_channel(primary_channel)
     config = SpiderConfig.spider_defaults(join_mode, num_interfaces=num_aps)
-    client = SpiderClient(
-        sim, world, mobility, config, client_id="lab", tcp_params=tcp_params
-    )
+    client = SpiderClient(sim, world, mobility, config, client_id="lab")
     client.start()
     join_deadline = sim.now + warmup_s
     while client.lmm.established_count < num_aps and sim.now < join_deadline:
@@ -102,7 +98,7 @@ class Fig7Result:
             "% time on primary",
             "Kb/s",
         )
-        return f"{series}\nshape: {sparkline(self.throughput_kbps)}" 
+        return f"{series}\nshape: {sparkline(self.throughput_kbps)}"
 
 
 @dataclass(frozen=True)
@@ -114,56 +110,18 @@ class Fig7Spec(ExperimentSpec):
     measure_s: float = MEASURE_S
 
 
-def _run(
-    fractions: Sequence[float],
-    backhaul_bps: float,
-    seed: int,
-    measure_s: float,
-    transport=None,
-    contention=None,
-) -> Fig7Result:
+@register("fig7", Fig7Spec, summary="TCP throughput vs primary-channel fraction")
+def run_spec(spec: Fig7Spec) -> Fig7Result:
     throughputs = []
-    for fraction in fractions:
+    for fraction in spec.fractions:
         mode = schedule_for_fraction(fraction, period_s=PERIOD_S)
         bps = measure_lab_throughput(
             mode,
-            backhaul_bps=backhaul_bps,
-            seed=seed,
-            measure_s=measure_s,
-            transport=transport,
-            contention=contention,
+            backhaul_bps=spec.backhaul_bps,
+            seed=spec.seed,
+            measure_s=spec.measure_s,
+            transport=spec.transport,
+            contention=spec.contention,
         )
         throughputs.append(bps / 1e3)
-    return Fig7Result(fractions=list(fractions), throughput_kbps=throughputs)
-
-
-@register("fig7", Fig7Spec, summary="TCP throughput vs primary-channel fraction")
-def run_spec(spec: Fig7Spec) -> Fig7Result:
-    return _run(
-        spec.fractions,
-        spec.backhaul_bps,
-        spec.seed,
-        spec.measure_s,
-        transport=spec.transport,
-        contention=spec.contention,
-    )
-
-
-def run(
-    fractions: Sequence[float] = (0.1, 0.25, 0.4, 0.5, 0.65, 0.8, 1.0),
-    backhaul_bps: float = 5.0e6,
-    seed: int = 0,
-    measure_s: float = MEASURE_S,
-) -> Fig7Result:
-    """Deprecated shim: execute the experiment and return its result."""
-    warn_deprecated("fig7_tcp_fraction.run(...)", "run_spec(Fig7Spec(...))")
-    return _run(fractions, backhaul_bps, seed, measure_s)
-
-
-def main() -> None:
-    """Command-line entry point."""
-    print(run_spec().unwrap().render())
-
-
-if __name__ == "__main__":
-    main()
+    return Fig7Result(fractions=list(spec.fractions), throughput_kbps=throughputs)

@@ -11,15 +11,15 @@ slow-start restarts.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Sequence, Tuple
+from typing import List, Tuple
 
 from ..analysis.ascii_plot import sparkline
 from ..analysis.reporting import format_series
 from ..core.schedule import OperationMode
-from .api import ExperimentSpec, register, warn_deprecated
+from .api import ExperimentSpec, register
 from .fig7_tcp_fraction import PRIMARY_CHANNEL, measure_lab_throughput
 
-__all__ = ["Fig8Spec", "Fig8Result", "run", "run_spec", "main"]
+__all__ = ["Fig8Spec", "Fig8Result", "run_spec"]
 
 CHANNELS = (1, 6, 11)
 
@@ -44,7 +44,10 @@ class Fig8Result:
             "dwell per channel (ms)",
             "Kb/s",
         )
-        return f"{series}\nshape: {sparkline(self.throughput_kbps)}" 
+        return (
+            f"{series}\nshape: {sparkline(self.throughput_kbps)}\n"
+            f"non-monotonic: {self.is_non_monotonic()}"
+        )
 
 
 @dataclass(frozen=True)
@@ -58,60 +61,20 @@ class Fig8Spec(ExperimentSpec):
     measure_s: float = 60.0
 
 
-def _run(
-    dwells_ms: Sequence[float],
-    backhaul_bps: float,
-    seed: int,
-    measure_s: float,
-    transport=None,
-    contention=None,
-) -> Fig8Result:
+@register("fig8", Fig8Spec, summary="TCP throughput vs per-channel dwell")
+def run_spec(spec: Fig8Spec) -> Fig8Result:
     throughputs = []
-    for dwell_ms in dwells_ms:
+    for dwell_ms in spec.dwells_ms:
         period_s = 3.0 * dwell_ms / 1e3
         mode = OperationMode.equal_split(CHANNELS, period_s)
         bps = measure_lab_throughput(
             mode,
-            backhaul_bps=backhaul_bps,
-            seed=seed,
-            measure_s=measure_s,
+            backhaul_bps=spec.backhaul_bps,
+            seed=spec.seed,
+            measure_s=spec.measure_s,
             primary_channel=PRIMARY_CHANNEL,
-            transport=transport,
-            contention=contention,
+            transport=spec.transport,
+            contention=spec.contention,
         )
         throughputs.append(bps / 1e3)
-    return Fig8Result(dwell_ms=list(dwells_ms), throughput_kbps=throughputs)
-
-
-@register("fig8", Fig8Spec, summary="TCP throughput vs per-channel dwell")
-def run_spec(spec: Fig8Spec) -> Fig8Result:
-    return _run(
-        spec.dwells_ms,
-        spec.backhaul_bps,
-        spec.seed,
-        spec.measure_s,
-        transport=spec.transport,
-        contention=spec.contention,
-    )
-
-
-def run(
-    dwells_ms: Sequence[float] = (16.0, 33.0, 66.0, 100.0, 150.0, 200.0, 300.0, 400.0),
-    backhaul_bps: float = 5.0e6,
-    seed: int = 0,
-    measure_s: float = 60.0,
-) -> Fig8Result:
-    """Deprecated shim: execute the experiment and return its result."""
-    warn_deprecated("fig8_tcp_dwell.run(...)", "run_spec(Fig8Spec(...))")
-    return _run(dwells_ms, backhaul_bps, seed, measure_s)
-
-
-def main() -> None:
-    """Command-line entry point."""
-    result = run_spec().unwrap()
-    print(result.render())
-    print(f"non-monotonic: {result.is_non_monotonic()}")
-
-
-if __name__ == "__main__":
-    main()
+    return Fig8Result(dwell_ms=list(spec.dwells_ms), throughput_kbps=throughputs)

@@ -24,16 +24,14 @@ from ..sim.cc import TransportSpec
 from ..sim.contention import ContentionSpec
 from ..sim.engine import Simulator
 from ..workloads.town import build_town
-from .api import ExperimentSpec, register, warn_deprecated
+from .api import ExperimentSpec, register
 
 __all__ = [
     "FleetSpec",
     "FleetRow",
     "FleetResult",
-    "run",
     "run_spec",
     "run_sharded_trial",
-    "main",
 ]
 
 
@@ -183,7 +181,7 @@ def _run_fleet(
         n_vehicles,
         _vehicle_stats(
             range(n_vehicles), n_vehicles, seed, duration_s, town_preset,
-            telemetry, transport,
+            telemetry, transport, contention,
         ),
     )
 
@@ -215,7 +213,10 @@ def run_sharded_trial(
     job = ShardedJob(
         fn=_vehicle_stats,
         items=tuple(range(n_vehicles)),
-        args=(n_vehicles, seed, duration_s, town_preset, telemetry, transport),
+        args=(
+            n_vehicles, seed, duration_s, town_preset, telemetry, transport,
+            contention,
+        ),
         tag=("fleet", n_vehicles, seed),
     )
     envelope = run_sharded(
@@ -232,16 +233,8 @@ class FleetSpec(ExperimentSpec):
     fleet_sizes: Tuple[int, ...] = (1, 2, 5)
 
 
-def _run(
-    fleet_sizes: Sequence[int],
-    seeds: Sequence[int],
-    duration_s: float,
-    town_preset: str,
-    workers: Optional[int],
-    telemetry: bool = False,
-    transport: Optional[TransportSpec] = None,
-    contention: Optional[ContentionSpec] = None,
-) -> FleetResult:
+@register("fleet", FleetSpec, summary="fleet scaling on one shared town")
+def run_spec(spec: FleetSpec) -> FleetResult:
     """Every ``(fleet size, seed)`` drive is an independent simulation, so
     the whole grid fans out through :mod:`repro.runner`; per-size
     aggregation happens on the deterministically ordered results.
@@ -249,19 +242,22 @@ def _run(
     jobs = [
         TrialJob(
             _run_fleet,
-            (size, seed, duration_s, town_preset, telemetry, transport),
+            (
+                size, seed, spec.duration_s, spec.town, spec.telemetry,
+                spec.transport, spec.contention,
+            ),
             tag=(size, seed),
         )
-        for size in fleet_sizes
-        for seed in seeds
+        for size in spec.fleet_sizes
+        for seed in spec.seeds
     ]
-    envelopes = run_jobs(jobs, workers=workers)
+    envelopes = run_jobs(jobs, workers=spec.workers)
     by_size: dict = {}
     for job, result in zip(jobs, envelopes):
         by_size.setdefault(job.tag[0], []).append(result.unwrap())
     rows = []
     snapshots: List[TelemetrySnapshot] = []
-    for size in fleet_sizes:
+    for size in spec.fleet_sizes:
         per_seed = by_size[size]
         n = len(per_seed)
         for r in per_seed:
@@ -278,39 +274,3 @@ def _run(
             )
         )
     return FleetResult(rows=rows, telemetry=tuple(snapshots) or None)
-
-
-@register("fleet", FleetSpec, summary="fleet scaling on one shared town")
-def run_spec(spec: FleetSpec) -> FleetResult:
-    return _run(
-        spec.fleet_sizes,
-        spec.seeds,
-        spec.duration_s,
-        spec.town,
-        spec.workers,
-        telemetry=spec.telemetry,
-        transport=spec.transport,
-        contention=spec.contention,
-    )
-
-
-def run(
-    fleet_sizes: Sequence[int] = (1, 2, 5),
-    seeds: Sequence[int] = (0,),
-    duration_s: float = 300.0,
-    town_preset: str = "amherst",
-    workers: Optional[int] = None,
-) -> FleetResult:
-    """Deprecated shim: execute the experiment and return its result."""
-    warn_deprecated("fleet.run(...)", "run_spec(FleetSpec(...))")
-    return _run(fleet_sizes, seeds, duration_s, town_preset, workers)
-
-
-def main() -> None:
-    """Command-line entry point."""
-    result = run_spec().unwrap()
-    print(result.render())
-
-
-if __name__ == "__main__":
-    main()

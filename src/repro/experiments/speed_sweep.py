@@ -15,18 +15,16 @@ exactly the policy that exploits this sweep.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Sequence, Tuple
-
-from typing import Optional
+from typing import Dict, List, Tuple
 
 from ..analysis.reporting import format_table
 from ..core.schedule import OperationMode
 from ..core.spider import ORTHOGONAL_CHANNELS
-from .api import ExperimentSpec, register, warn_deprecated
+from .api import ExperimentSpec, register
 from .common import AggregatedMetrics, TownTrialSpec, aggregate_town_trials
 from .town_runs import spider_factory
 
-__all__ = ["SpeedSweepSpec", "SpeedSweepResult", "run", "run_spec", "main"]
+__all__ = ["SpeedSweepSpec", "SpeedSweepResult", "run_spec"]
 
 POLICIES: Dict[str, OperationMode] = {
     "single-channel": OperationMode.single_channel(1),
@@ -76,22 +74,15 @@ class SpeedSweepSpec(ExperimentSpec):
     speeds_mps: Tuple[float, ...] = (3.0, 6.0, 10.0, 15.0)
 
 
-def _run(
-    speeds_mps: Sequence[float],
-    seeds: Sequence[int],
-    duration_s: float,
-    town: str,
-    workers: Optional[int],
-    transport=None,
-    contention=None,
-) -> SpeedSweepResult:
+@register("speed-sweep", SpeedSweepSpec, summary="single vs multi channel across speeds")
+def run_spec(spec: SpeedSweepSpec) -> SpeedSweepResult:
     """The full ``speed x policy x seed`` grid fans out as one batch through
     :mod:`repro.runner`, then regroups into per-policy series in sweep
     order.
     """
     grid = [
         (speed, name, mode)
-        for speed in speeds_mps
+        for speed in spec.speeds_mps
         for name, mode in POLICIES.items()
     ]
     specs = [
@@ -99,14 +90,19 @@ def _run(
             factory=spider_factory(mode, 7),
             label=f"{name}@{speed}",
             seed=seed,
-            duration_s=duration_s,
-            town=town,
+            duration_s=spec.duration_s,
+            town=spec.town,
             speed_mps=speed,
         )
         for speed, name, mode in grid
-        for seed in seeds
+        for seed in spec.seeds
     ]
-    per_label = aggregate_town_trials(specs, workers=workers, transport=transport, contention=contention)
+    per_label = aggregate_town_trials(
+        specs,
+        workers=spec.workers,
+        transport=spec.transport,
+        contention=spec.contention,
+    )
     series: Dict[str, List[Tuple[float, float]]] = {name: [] for name in POLICIES}
     for speed, name, _mode in grid:
         label = f"{name}@{speed}"
@@ -114,39 +110,4 @@ def _run(
         series[name].append(
             (metrics.average_throughput_kBps, metrics.connectivity_pct)
         )
-    return SpeedSweepResult(speeds_mps=list(speeds_mps), series=series)
-
-
-@register("speed-sweep", SpeedSweepSpec, summary="single vs multi channel across speeds")
-def run_spec(spec: SpeedSweepSpec) -> SpeedSweepResult:
-    return _run(
-        spec.speeds_mps,
-        spec.seeds,
-        spec.duration_s,
-        spec.town,
-        spec.workers,
-        transport=spec.transport,
-        contention=spec.contention,
-    )
-
-
-def run(
-    speeds_mps: Sequence[float] = (3.0, 6.0, 10.0, 15.0),
-    seeds: Sequence[int] = (0, 1),
-    duration_s: float = 400.0,
-    town: str = "amherst",
-    workers: Optional[int] = None,
-) -> SpeedSweepResult:
-    """Deprecated shim: execute the experiment and return its result."""
-    warn_deprecated("speed_sweep.run(...)", "run_spec(SpeedSweepSpec(...))")
-    return _run(speeds_mps, seeds, duration_s, town, workers)
-
-
-def main() -> None:
-    """Command-line entry point."""
-    result = run_spec().unwrap()
-    print(result.render())
-
-
-if __name__ == "__main__":
-    main()
+    return SpeedSweepResult(speeds_mps=list(spec.speeds_mps), series=series)

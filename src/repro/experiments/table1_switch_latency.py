@@ -10,23 +10,23 @@ from __future__ import annotations
 
 import statistics
 from dataclasses import dataclass
-from typing import List, Sequence, Tuple
+from typing import List, Optional, Tuple
 
 from ..analysis.reporting import format_table
 from ..core.link_manager import SpiderConfig
 from ..core.schedule import OperationMode
 from ..core.spider import SpiderClient
+from ..sim.cc import TransportSpec
+from ..sim.contention import ContentionSpec
 from ..sim.engine import Simulator
 from ..workloads.town import lab_topology
-from .api import ExperimentSpec, register, warn_deprecated
+from .api import ExperimentSpec, register
 
 __all__ = [
     "Table1Spec",
     "Table1Row",
     "Table1Result",
-    "run",
     "run_spec",
-    "main",
     "measure_switch_latencies",
 ]
 
@@ -38,6 +38,8 @@ def measure_switch_latencies(
     num_interfaces: int,
     switches: int = 40,
     seed: int = 0,
+    transport: Optional[TransportSpec] = None,
+    contention: Optional[ContentionSpec] = None,
 ) -> List[float]:
     """Join ``num_interfaces`` APs on one channel, then toggle channels.
 
@@ -46,7 +48,14 @@ def measure_switch_latencies(
     """
     sim = Simulator(seed=seed)
     specs = [(HOME_CHANNEL, 2.0e6)] * max(num_interfaces, 1)
-    world, _, mobility = lab_topology(sim, specs, loss_rate=0.0, dhcp_delay_s=0.1)
+    world, _, mobility = lab_topology(
+        sim,
+        specs,
+        loss_rate=0.0,
+        dhcp_delay_s=0.1,
+        transport=transport,
+        contention=contention,
+    )
     config = SpiderConfig.spider_defaults(
         OperationMode.single_channel(HOME_CHANNEL),
         num_interfaces=max(num_interfaces, 1),
@@ -108,37 +117,18 @@ class Table1Spec(ExperimentSpec):
     switches: int = 40
 
 
-def _run(
-    interface_counts: Sequence[int], switches: int, seed: int
-) -> Table1Result:
+@register("table1", Table1Spec, summary="channel-switch latency vs interfaces")
+def run_spec(spec: Table1Spec) -> Table1Result:
     rows = []
-    for count in interface_counts:
-        latencies = measure_switch_latencies(count, switches=switches, seed=seed)
+    for count in spec.interface_counts:
+        latencies = measure_switch_latencies(
+            count,
+            switches=spec.switches,
+            seed=spec.seed,
+            transport=spec.transport,
+            contention=spec.contention,
+        )
         mean_ms = 1e3 * statistics.mean(latencies)
         std_ms = 1e3 * (statistics.stdev(latencies) if len(latencies) > 1 else 0.0)
         rows.append(Table1Row(num_interfaces=count, mean_ms=mean_ms, std_ms=std_ms))
     return Table1Result(rows=rows)
-
-
-@register("table1", Table1Spec, summary="channel-switch latency vs interfaces")
-def run_spec(spec: Table1Spec) -> Table1Result:
-    return _run(spec.interface_counts, spec.switches, spec.seed)
-
-
-def run(
-    interface_counts: Sequence[int] = (0, 1, 2, 3, 4),
-    switches: int = 40,
-    seed: int = 0,
-) -> Table1Result:
-    """Deprecated shim: execute the experiment and return its result."""
-    warn_deprecated("table1_switch_latency.run(...)", "run_spec(Table1Spec(...))")
-    return _run(interface_counts, switches, seed)
-
-
-def main() -> None:
-    """Command-line entry point."""
-    print(run_spec().unwrap().render())
-
-
-if __name__ == "__main__":
-    main()

@@ -10,10 +10,10 @@ Cabernet's reported 10.75 KB/s).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional
 
 from ..analysis.reporting import format_table
-from .api import ExperimentSpec, register, warn_deprecated
+from .api import ExperimentSpec, register
 from .town_runs import (
     CONFIG_CH1_MULTI_AP,
     CONFIG_CH1_SINGLE_AP,
@@ -30,9 +30,7 @@ __all__ = [
     "Table2Row",
     "Table2Result",
     "PAPER_TABLE2_KBPS",
-    "run",
     "run_spec",
-    "main",
 ]
 
 #: The paper's Table 2 values: (throughput KB/s, connectivity %).
@@ -64,6 +62,24 @@ class Table2Result:
     """All Table 2 rows plus the underlying suite."""
     rows: List[Table2Row]
     suite: ConfigurationSuite
+
+    @classmethod
+    def from_suite(cls, suite: ConfigurationSuite) -> "Table2Result":
+        """Tabulate one row per configuration the suite drove."""
+        rows = []
+        for label in suite.labels():
+            metrics = suite[label]
+            paper = PAPER_TABLE2_KBPS.get(label)
+            rows.append(
+                Table2Row(
+                    label=label,
+                    throughput_kBps=metrics.average_throughput_kBps,
+                    connectivity_pct=metrics.connectivity_pct,
+                    paper_throughput_kBps=paper[0] if paper else None,
+                    paper_connectivity_pct=paper[1] if paper else None,
+                )
+            )
+        return cls(rows=rows, suite=suite)
 
     def by_label(self) -> Dict[str, Table2Row]:
         """Rows keyed by configuration label."""
@@ -100,11 +116,29 @@ class Table2Result:
             )
             for r in self.rows
         ]
-        return format_table(
-            ["(Config) Parameters", "Throughput", "Connectivity", "paper tput", "paper conn"],
-            table_rows,
-            title="Table 2: avg throughput and connectivity per configuration",
-        )
+        lines = [
+            format_table(
+                ["(Config) Parameters", "Throughput", "Connectivity", "paper tput", "paper conn"],
+                table_rows,
+                title="Table 2: avg throughput and connectivity per configuration",
+            )
+        ]
+        rows = self.by_label()
+        if CONFIG_CH1_MULTI_AP in rows and CONFIG_CH1_SINGLE_AP in rows:
+            lines.append(
+                f"multi-AP gain (1)/(2): {self.multi_ap_gain():.2f}x (paper: ~4.3x)"
+            )
+        if self.rows:
+            lines.append(f"best throughput:   {self.best_throughput_label()}")
+            lines.append(f"best connectivity: {self.best_connectivity_label()}")
+        ch6 = rows.get(CONFIG_CH6_SINGLE_AP_CAMBRIDGE)
+        if ch6 is not None:
+            ratio = ch6.throughput_kBps / CABERNET_THROUGHPUT_KBPS
+            lines.append(
+                f"Cambridge ch6 vs Cabernet ({CABERNET_THROUGHPUT_KBPS} KB/s): "
+                f"{ratio:.1f}x (paper: ~8x)"
+            )
+        return "\n".join(lines)
 
 
 @dataclass(frozen=True)
@@ -115,82 +149,16 @@ class Table2Spec(ExperimentSpec):
     include_cambridge: bool = True
 
 
-def _run(
-    seeds: Sequence[int],
-    duration_s: float,
-    include_cambridge: bool,
-    suite: Optional[ConfigurationSuite],
-    workers: Optional[int] = None,
-    telemetry: Optional[bool] = None,
-    transport=None,
-    contention=None,
-) -> Table2Result:
-    if suite is None:
-        suite = run_configuration_suite(
-            seeds=seeds,
-            duration_s=duration_s,
-            include_cambridge=include_cambridge,
-            workers=workers,
-            telemetry=telemetry,
-            transport=transport,
-            contention=contention,
-        )
-    rows = []
-    for label in suite.labels():
-        metrics = suite[label]
-        paper = PAPER_TABLE2_KBPS.get(label)
-        rows.append(
-            Table2Row(
-                label=label,
-                throughput_kBps=metrics.average_throughput_kBps,
-                connectivity_pct=metrics.connectivity_pct,
-                paper_throughput_kBps=paper[0] if paper else None,
-                paper_connectivity_pct=paper[1] if paper else None,
-            )
-        )
-    return Table2Result(rows=rows, suite=suite)
-
-
 @register("table2", Table2Spec, summary="throughput/connectivity per configuration")
 def run_spec(spec: Table2Spec) -> Table2Result:
-    return _run(
-        spec.seeds,
-        spec.duration_s,
-        spec.include_cambridge,
-        None,
-        workers=spec.workers,
-        telemetry=spec.telemetry or None,
-        transport=spec.transport,
-        contention=spec.contention,
-    )
-
-
-def run(
-    seeds: Sequence[int] = (0, 1),
-    duration_s: float = 900.0,
-    include_cambridge: bool = True,
-    suite: Optional[ConfigurationSuite] = None,
-) -> Table2Result:
-    """Deprecated shim: regenerate Table 2 (pass a suite to share runs)."""
-    warn_deprecated("table2_configs.run(...)", "run_spec(Table2Spec(...))")
-    return _run(seeds, duration_s, include_cambridge, suite)
-
-
-def main() -> None:
-    """Command-line entry point."""
-    result = run_spec().unwrap()
-    print(result.render())
-    print(f"multi-AP gain (1)/(2): {result.multi_ap_gain():.2f}x (paper: ~4.3x)")
-    print(f"best throughput:   {result.best_throughput_label()}")
-    print(f"best connectivity: {result.best_connectivity_label()}")
-    ch6 = result.by_label().get(CONFIG_CH6_SINGLE_AP_CAMBRIDGE)
-    if ch6 is not None:
-        ratio = ch6.throughput_kBps / CABERNET_THROUGHPUT_KBPS
-        print(
-            f"Cambridge ch6 vs Cabernet ({CABERNET_THROUGHPUT_KBPS} KB/s): "
-            f"{ratio:.1f}x (paper: ~8x)"
+    return Table2Result.from_suite(
+        run_configuration_suite(
+            seeds=spec.seeds,
+            duration_s=spec.duration_s,
+            include_cambridge=spec.include_cambridge,
+            workers=spec.workers,
+            telemetry=spec.telemetry or None,
+            transport=spec.transport,
+            contention=spec.contention,
         )
-
-
-if __name__ == "__main__":
-    main()
+    )

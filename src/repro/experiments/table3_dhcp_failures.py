@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..analysis.reporting import format_table
-from .api import ExperimentSpec, register, warn_deprecated
+from .api import ExperimentSpec, register
 from .common import AggregatedMetrics
 from .timeout_grid import run_grid
 
@@ -23,9 +23,7 @@ __all__ = [
     "Table3Row",
     "Table3Result",
     "PAPER_ROWS",
-    "run",
     "run_spec",
-    "main",
 ]
 
 TABLE3_LABELS = (
@@ -62,6 +60,15 @@ class Table3Row:
 class Table3Result:
     """All Table 3 rows."""
     rows: List[Table3Row]
+
+    @classmethod
+    def from_grid(
+        cls,
+        grid: Dict[str, AggregatedMetrics],
+        labels: Sequence[str] = TABLE3_LABELS,
+    ) -> "Table3Result":
+        """Tabulate one row per timeout configuration from the grid's drives."""
+        return cls(rows=[_row(label, grid[label]) for label in labels])
 
     def render(self) -> str:
         """Render the result as printable text."""
@@ -106,55 +113,14 @@ class Table3Spec(ExperimentSpec):
     labels: Tuple[str, ...] = TABLE3_LABELS
 
 
-def _run(
-    labels: Sequence[str],
-    seeds: Sequence[int],
-    duration_s: float,
-    grid: Optional[Dict[str, AggregatedMetrics]],
-    workers: Optional[int] = None,
-    transport=None,
-    contention=None,
-) -> Table3Result:
-    if grid is None:
-        grid = run_grid(
-            labels=labels,
-            seeds=seeds,
-            duration_s=duration_s,
-            workers=workers,
-            transport=transport,
-            contention=contention,
-        )
-    return Table3Result(rows=[_row(label, grid[label]) for label in labels])
-
-
 @register("table3", Table3Spec, summary="DHCP failure probability per timeout")
 def run_spec(spec: Table3Spec) -> Table3Result:
-    return _run(
-        spec.labels,
-        spec.seeds,
-        spec.duration_s,
-        None,
+    grid = run_grid(
+        labels=spec.labels,
+        seeds=spec.seeds,
+        duration_s=spec.duration_s,
         workers=spec.workers,
         transport=spec.transport,
         contention=spec.contention,
     )
-
-
-def run(
-    labels: Sequence[str] = TABLE3_LABELS,
-    seeds: Sequence[int] = (0, 1, 2),
-    duration_s: float = 300.0,
-    grid: Optional[Dict[str, AggregatedMetrics]] = None,
-) -> Table3Result:
-    """Deprecated shim: execute the experiment and return its result."""
-    warn_deprecated("table3_dhcp_failures.run(...)", "run_spec(Table3Spec(...))")
-    return _run(labels, seeds, duration_s, grid)
-
-
-def main() -> None:
-    """Command-line entry point."""
-    print(run_spec().unwrap().render())
-
-
-if __name__ == "__main__":
-    main()
+    return Table3Result.from_grid(grid, spec.labels)

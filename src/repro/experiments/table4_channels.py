@@ -8,13 +8,11 @@ is maximized on one channel, connectivity on three.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from ..analysis.reporting import format_table
 from ..core.schedule import OperationMode
-from ..sim.cc import TransportSpec
-from ..sim.contention import ContentionSpec
-from .api import ExperimentSpec, register, warn_deprecated
+from .api import ExperimentSpec, register
 from .common import run_town_trials
 from .town_runs import spider_factory
 
@@ -23,9 +21,7 @@ __all__ = [
     "Table4Row",
     "Table4Result",
     "PAPER_ROWS",
-    "run",
     "run_spec",
-    "main",
 ]
 
 #: (label, schedule) — multi-channel rows use 200 ms per channel.
@@ -68,7 +64,7 @@ class Table4Result:
 
     def render(self) -> str:
         """Render the result as printable text."""
-        return format_table(
+        table = format_table(
             ["Parameters", "Throughput", "Connectivity", "paper tput", "paper conn"],
             [
                 (
@@ -82,6 +78,11 @@ class Table4Result:
             ],
             title="Table 4: static schedules vs throughput and connectivity",
         )
+        return (
+            f"{table}\n"
+            f"single channel wins throughput: {self.single_channel_wins_throughput()}\n"
+            f"3-channel wins connectivity:    {self.three_channel_wins_connectivity()}"
+        )
 
 
 @dataclass(frozen=True)
@@ -91,23 +92,18 @@ class Table4Spec(ExperimentSpec):
     duration_s: float = 600.0
 
 
-def _run(
-    seeds: Sequence[int],
-    duration_s: float,
-    workers: Optional[int] = None,
-    transport: Optional[TransportSpec] = None,
-    contention: Optional[ContentionSpec] = None,
-) -> Table4Result:
+@register("table4", Table4Spec, summary="static schedules vs throughput/connectivity")
+def run_spec(spec: Table4Spec) -> Table4Result:
     rows = []
     for label, mode in SCHEDULES.items():
         metrics = run_town_trials(
             spider_factory(mode, 7),
             label,
-            seeds=seeds,
-            duration_s=duration_s,
-            workers=workers,
-            transport=transport,
-            contention=contention,
+            seeds=spec.seeds,
+            duration_s=spec.duration_s,
+            workers=spec.workers,
+            transport=spec.transport,
+            contention=spec.contention,
         )
         rows.append(
             Table4Row(
@@ -118,35 +114,3 @@ def _run(
             )
         )
     return Table4Result(rows=rows)
-
-
-@register("table4", Table4Spec, summary="static schedules vs throughput/connectivity")
-def run_spec(spec: Table4Spec) -> Table4Result:
-    return _run(
-        spec.seeds,
-        spec.duration_s,
-        workers=spec.workers,
-        transport=spec.transport,
-        contention=spec.contention,
-    )
-
-
-def run(
-    seeds: Sequence[int] = (0, 1),
-    duration_s: float = 600.0,
-) -> Table4Result:
-    """Deprecated shim: execute the experiment and return its result."""
-    warn_deprecated("table4_channels.run(...)", "run_spec(Table4Spec(...))")
-    return _run(seeds, duration_s)
-
-
-def main() -> None:
-    """Command-line entry point."""
-    result = run_spec().unwrap()
-    print(result.render())
-    print(f"single channel wins throughput: {result.single_channel_wins_throughput()}")
-    print(f"3-channel wins connectivity:    {result.three_channel_wins_connectivity()}")
-
-
-if __name__ == "__main__":
-    main()

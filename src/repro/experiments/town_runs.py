@@ -201,6 +201,10 @@ def run_configuration_suite(
         for seed in seeds
     ]
     results = aggregate_town_trials(
-        specs, workers=workers, telemetry=telemetry, transport=transport
+        specs,
+        workers=workers,
+        telemetry=telemetry,
+        transport=transport,
+        contention=contention,
     )
     return ConfigurationSuite(results=results, duration_s=duration_s, seeds=seeds)

@@ -20,7 +20,7 @@ or sweep fabric) exactly like every other experiment.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Tuple
 
 from ..analysis.ascii_plot import heatmap
 from ..analysis.reporting import format_table
@@ -41,7 +41,6 @@ __all__ = [
     "TransportMatrixResult",
     "SPIDER_POLICIES",
     "run_spec",
-    "main",
 ]
 
 #: The four Spider scheduling policies of Table 2 (the stock driver is
@@ -128,7 +127,12 @@ class TransportMatrixResult:
                     title=f"throughput KB/s, split={'on' if split else 'off'}",
                 )
             )
-        return "\n\n".join([table] + maps)
+        best = self.best_cell()
+        summary = (
+            f"best cell: {best.policy} cc={best.cc} "
+            f"split={'on' if best.split else 'off'} ({best.throughput_kBps:.1f} KB/s)"
+        )
+        return "\n\n".join([table] + maps) + "\n" + summary
 
 
 @dataclass(frozen=True)
@@ -141,39 +145,42 @@ class TransportMatrixSpec(ExperimentSpec):
     splits: Tuple[bool, ...] = (False, True)
 
 
-def _run(
-    seeds: Sequence[int],
-    duration_s: float,
-    town: str,
-    policies: Sequence[str],
-    ccs: Sequence[str],
-    splits: Sequence[bool],
-    workers: Optional[int] = None,
-    telemetry: Optional[bool] = None,
-) -> TransportMatrixResult:
+@register(
+    "transport-matrix",
+    TransportMatrixSpec,
+    summary="policy x CC x split transport grid",
+)
+def run_spec(spec: TransportMatrixSpec) -> TransportMatrixResult:
     factories = standard_factories()
-    unknown = [p for p in policies if p not in factories]
+    unknown = [p for p in spec.policies if p not in factories]
     if unknown:
         raise ValueError(f"unknown policies: {unknown}; known: {list(factories)}")
     grid = [
         (policy, cc, split)
-        for policy in policies
-        for cc in ccs
-        for split in splits
+        for policy in spec.policies
+        for cc in spec.ccs
+        for split in spec.splits
     ]
+    # Each cell sets its own transport: the matrix's cc x split axes are
+    # what this experiment varies, so ``spec.transport`` does not apply.
     specs = [
         TownTrialSpec(
             factory=factories[policy],
             label=_cell_label(policy, cc, split),
             seed=seed,
-            duration_s=duration_s,
-            town=town,
+            duration_s=spec.duration_s,
+            town=spec.town,
             transport=TransportSpec(cc=cc, split=split),
         )
         for policy, cc, split in grid
-        for seed in seeds
+        for seed in spec.seeds
     ]
-    per_label = aggregate_town_trials(specs, workers=workers, telemetry=telemetry)
+    per_label = aggregate_town_trials(
+        specs,
+        workers=spec.workers,
+        telemetry=spec.telemetry or None,
+        contention=spec.contention,
+    )
     cells = []
     for policy, cc, split in grid:
         label = _cell_label(policy, cc, split)
@@ -189,40 +196,7 @@ def _run(
         )
     return TransportMatrixResult(
         cells=cells,
-        policies=list(policies),
-        ccs=list(ccs),
-        splits=list(splits),
+        policies=list(spec.policies),
+        ccs=list(spec.ccs),
+        splits=list(spec.splits),
     )
-
-
-@register(
-    "transport-matrix",
-    TransportMatrixSpec,
-    summary="policy x CC x split transport grid",
-)
-def run_spec(spec: TransportMatrixSpec) -> TransportMatrixResult:
-    return _run(
-        spec.seeds,
-        spec.duration_s,
-        spec.town,
-        spec.policies,
-        spec.ccs,
-        spec.splits,
-        workers=spec.workers,
-        telemetry=spec.telemetry or None,
-    )
-
-
-def main() -> None:
-    """Command-line entry point."""
-    result = run_spec().unwrap()
-    print(result.render())
-    best = result.best_cell()
-    print(
-        f"best cell: {best.policy} cc={best.cc} "
-        f"split={'on' if best.split else 'off'} ({best.throughput_kBps:.1f} KB/s)"
-    )
-
-
-if __name__ == "__main__":
-    main()

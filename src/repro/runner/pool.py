@@ -588,11 +588,8 @@ def _shard_capacity() -> int:
     own items, so shards beyond the physical core count are pure overhead —
     the same work re-simulated on a timeshared core (the committed
     ``fleet_sharded`` bench once recorded a 0.477x "speedup" from exactly
-    that on a 1-core container).  ``REPRO_SHARD_OVERCOMMIT=1`` lifts the
-    clamp for tests that exercise multi-shard paths on small machines.
+    that on a 1-core container).
     """
-    if os.environ.get("REPRO_SHARD_OVERCOMMIT", "").strip() in ("1", "true"):
-        return 1 << 30
     return os.cpu_count() or 1
 
 

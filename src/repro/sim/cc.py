@@ -54,7 +54,11 @@ __all__ = [
 
 @dataclass
 class TcpParams:
-    """Tunable constants for a sender."""
+    """The numeric TCP knobs, as senders and controllers read them.
+
+    Built by :meth:`TransportSpec.params`; a flow is configured through its
+    :class:`TransportSpec`.
+    """
 
     mss: int = 1400
     initial_cwnd_segments: float = 2.0
@@ -348,17 +352,6 @@ class TransportSpec:
     def params(self) -> TcpParams:
         """The :class:`TcpParams` view of the numeric knobs."""
         return TcpParams(**{f: getattr(self, f) for f in _TCP_PARAM_FIELDS})
-
-    @classmethod
-    def from_params(
-        cls,
-        params: Optional[TcpParams],
-        cc: str = "reno",
-        split: bool = False,
-    ) -> "TransportSpec":
-        """Lift a legacy ``TcpParams`` (or None) into a spec."""
-        p = params or TcpParams()
-        return cls(cc=cc, split=split, **{f: getattr(p, f) for f in _TCP_PARAM_FIELDS})
 
     def controller(self) -> CongestionController:
         """A fresh controller instance for one sender."""

@@ -20,7 +20,6 @@ from .engine import PeriodicProcess
 from .metrics import JoinAttempt, JoinLog, ThroughputRecorder
 from .mobility import MobilityModel
 from .nic import ScanEntry, VirtualInterface, WifiNic
-from .tcp import TcpParams
 from .traffic import ClientFlow
 from .world import World
 
@@ -56,7 +55,6 @@ class StockClient:
         dhcp_idle_after_failure_s: float = dhcp_mod.DEFAULT_IDLE_AFTER_FAILURE_S,
         beacon_loss_timeout_s: float = BEACON_LOSS_TIMEOUT_S,
         enable_traffic: bool = True,
-        tcp_params: Optional[TcpParams] = None,
     ):
         self.sim = sim
         self.world = world
@@ -67,7 +65,6 @@ class StockClient:
         self.dhcp_idle_after_failure_s = dhcp_idle_after_failure_s
         self.beacon_loss_timeout_s = beacon_loss_timeout_s
         self.enable_traffic = enable_traffic
-        self.tcp_params = tcp_params
         self.nic = WifiNic(
             sim, world.medium, mobility, nic_id=client_id,
             initial_channel=self.scan_channels[0],
@@ -219,7 +216,6 @@ class StockClient:
                 self.world,
                 self.iface,
                 on_bytes=self.recorder.record,
-                tcp_params=self.tcp_params,
             )
 
     def _on_join_failed(self, entry: ScanEntry, reason: str, blacklist_s: float) -> None:

@@ -25,7 +25,7 @@ from .engine import EventHandle, PeriodicProcess, Simulator
 from .frames import ACK_FRAME_BYTES, PING_FRAME_BYTES, Frame, FrameKind, TcpSegment
 from .cc import TransportSpec
 from .nic import VirtualInterface
-from .tcp import TcpParams, TcpReceiver
+from .tcp import TcpReceiver
 from .world import World
 
 __all__ = ["PingService", "LivenessMonitor", "ClientFlow"]
@@ -169,7 +169,6 @@ class ClientFlow:
         world: World,
         iface: VirtualInterface,
         on_bytes: Optional[Callable[[int], None]] = None,
-        tcp_params: Optional[TcpParams] = None,
         total_bytes: Optional[int] = None,
         transport: Optional[TransportSpec] = None,
     ):
@@ -210,7 +209,6 @@ class ClientFlow:
         self.sender = world.server.open_download(
             self.flow_id,
             client_ip=iface.ip,
-            params=tcp_params,
             total_bytes=total_bytes,
             transport=transport,
         )

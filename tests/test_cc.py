@@ -9,6 +9,7 @@ QUIC-style 0-RTT join-verify skip.
 from __future__ import annotations
 
 import pickle
+from dataclasses import asdict
 
 import pytest
 
@@ -216,7 +217,7 @@ class TestTransportSpec:
 
     def test_params_round_trip(self):
         params = TcpParams(mss=1200, rto_min_s=0.3)
-        spec = TransportSpec.from_params(params, cc="bbr", split=True)
+        spec = TransportSpec(cc="bbr", split=True, **asdict(params))
         assert spec.params() == params
         assert spec.cc == "bbr" and spec.split
 

@@ -4,23 +4,20 @@ from __future__ import annotations
 
 import pytest
 
-from repro.__main__ import EXPERIMENTS, main
+from repro.__main__ import main
+from repro.experiments.api import REGISTRY
 
 
 class TestCli:
     def test_list_prints_all_experiments(self, capsys):
         assert main(["list"]) == 0
         out = capsys.readouterr().out
-        for name in EXPERIMENTS:
+        for name in REGISTRY:
             assert name in out
 
     def test_unknown_experiment_fails(self, capsys):
         assert main(["nope"]) == 2
         assert "unknown experiment" in capsys.readouterr().err
-
-    def test_every_experiment_is_callable(self):
-        for name, runner in EXPERIMENTS.items():
-            assert callable(runner), name
 
     def test_fig3_runs_end_to_end(self, capsys):
         assert main(["fig3"]) == 0

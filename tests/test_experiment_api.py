@@ -1,28 +1,23 @@
 """Tests for the unified experiment spec→result API and its CLI front.
 
-Every experiment module now exposes ``run_spec(spec) -> TrialResult`` and
-registers itself in ``repro.experiments.api.REGISTRY``; the historical
-``run(...)`` signatures survive as deprecation shims that forward to the
-same implementation.  These tests pin the registry, the envelope
-semantics, the shim equivalence, and the shared CLI flag vocabulary.
+Every experiment module exposes ``run_spec(spec) -> TrialResult`` and
+registers itself in ``repro.experiments.api.REGISTRY``.  These tests pin
+the registry, the envelope semantics, and the shared CLI flag vocabulary.
 """
 
 from __future__ import annotations
 
 import json
-import warnings
 from dataclasses import dataclass
-from typing import Tuple
 
 import pytest
 
-from repro.__main__ import EXPERIMENTS, main
+from repro.__main__ import main
 from repro.experiments import (
     ap_density,
     appendix_knapsack,
     fig3_beta_sensitivity,
     fig4_optimal_schedule,
-    table1_switch_latency,
 )
 from repro.experiments.api import (
     REGISTRY,
@@ -38,9 +33,6 @@ from repro.runner import TrialResult
 
 
 class TestRegistry:
-    def test_every_cli_experiment_is_registered(self):
-        assert set(EXPERIMENTS) == set(REGISTRY)
-
     def test_entries_are_well_formed(self):
         for name, experiment in REGISTRY.items():
             assert experiment.name == name
@@ -115,66 +107,6 @@ class TestSpecVocabulary:
         assert spec.seeds == (5,)
         assert spec.duration_s == 30.0
         assert spec.towns == ap_density.DensitySpec().towns
-
-
-def _whole_result(result):
-    return result
-
-
-def _knapsack_values(result):
-    # Wall-clock timings vary run to run; the solver values are the
-    # deterministic part.
-    return [
-        (r.n_aps, r.dp_value, r.greedy_value, r.brute_value) for r in result.rows
-    ]
-
-
-CHEAP_SHIMS = [
-    # (module, shim kwargs, spec, projection) — analytic or sub-second.
-    (fig3_beta_sensitivity, {}, None, _whole_result),
-    (fig4_optimal_schedule, {}, None, _whole_result),
-    (
-        appendix_knapsack,
-        {"sizes": (4, 8), "seed": 2},
-        appendix_knapsack.KnapsackSpec(sizes=(4, 8), seeds=(2,)),
-        _knapsack_values,
-    ),
-    (
-        table1_switch_latency,
-        {"interface_counts": (0, 2), "switches": 10, "seed": 1},
-        table1_switch_latency.Table1Spec(
-            interface_counts=(0, 2), switches=10, seeds=(1,)
-        ),
-        _whole_result,
-    ),
-]
-
-
-class TestDeprecationShims:
-    @pytest.mark.parametrize(
-        "module,kwargs,spec,project",
-        CHEAP_SHIMS,
-        ids=lambda p: getattr(p, "__name__", ""),
-    )
-    def test_shim_warns_and_matches_run_spec(self, module, kwargs, spec, project):
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            shim_result = module.run(**kwargs)
-        assert any(
-            issubclass(w.category, DeprecationWarning) for w in caught
-        ), "shim did not warn"
-        assert any("deprecated" in str(w.message) for w in caught)
-        envelope = module.run_spec(spec)
-        assert envelope.ok
-        assert project(envelope.value) == project(shim_result)
-
-    def test_run_spec_emits_no_deprecation_warning(self):
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            fig3_beta_sensitivity.run_spec()
-        assert not any(
-            issubclass(w.category, DeprecationWarning) for w in caught
-        )
 
 
 class TestToJsonable:

@@ -277,11 +277,13 @@ class TestFaultSweepSmoke:
     def test_sweep_runs_and_renders(self):
         from repro.experiments import fault_sweep
 
-        result = fault_sweep.run(
-            seeds=(0,),
-            duration_s=40.0,
-            scenario_names=(fault_sweep.BASELINE_SCENARIO, "dhcp stall"),
-        )
+        result = fault_sweep.run_spec(
+            fault_sweep.FaultSweepSpec(
+                seeds=(0,),
+                duration_s=40.0,
+                scenario_names=(fault_sweep.BASELINE_SCENARIO, "dhcp stall"),
+            )
+        ).unwrap()
         assert len(result.rows) == 4  # 2 scenarios x 2 clients
         text = result.render()
         assert "dhcp stall" in text and "Spider" in text
@@ -291,5 +293,11 @@ class TestFaultSweepSmoke:
     def test_unknown_scenario_rejected(self):
         from repro.experiments import fault_sweep
 
-        with pytest.raises(KeyError):
-            fault_sweep.run(seeds=(0,), duration_s=10.0, scenario_names=("nope",))
+        envelope = fault_sweep.run_spec(
+            fault_sweep.FaultSweepSpec(
+                seeds=(0,), duration_s=10.0, scenario_names=("nope",)
+            )
+        )
+        assert not envelope.ok
+        assert envelope.error.startswith("KeyError: ")
+        assert "unknown scenarios" in envelope.error

@@ -4,13 +4,15 @@ from __future__ import annotations
 
 import pytest
 
-from repro.experiments.fleet import FleetResult, FleetRow, run
+from repro.experiments.fleet import FleetResult, FleetRow, FleetSpec, run_spec
 
 
 class TestFleetRun:
     @pytest.fixture(scope="class")
     def result(self) -> FleetResult:
-        return run(fleet_sizes=(1, 2), seeds=(0,), duration_s=120.0)
+        return run_spec(
+            FleetSpec(fleet_sizes=(1, 2), seeds=(0,), duration_s=120.0)
+        ).unwrap()
 
     def test_rows_match_requested_sizes(self, result):
         assert [r.vehicles for r in result.rows] == [1, 2]

@@ -354,11 +354,11 @@ class TestParallelDeterminism:
                 _assert_trials_identical(s_trial, p_trial)
 
     def test_fleet_parallel_matches_serial(self):
-        from repro.experiments.fleet import run as run_fleet
+        from repro.experiments.fleet import FleetSpec, run_spec
 
         kwargs = dict(fleet_sizes=(1, 2), seeds=(0,), duration_s=SHORT_TRIAL_S)
-        serial = run_fleet(workers=1, **kwargs)
-        parallel = run_fleet(workers=4, **kwargs)
+        serial = run_spec(FleetSpec(workers=1, **kwargs)).unwrap()
+        parallel = run_spec(FleetSpec(workers=4, **kwargs)).unwrap()
         assert [
             (r.vehicles, r.per_vehicle_kBps, r.aggregate_kBps,
              r.mean_connectivity_pct)
@@ -370,11 +370,11 @@ class TestParallelDeterminism:
         ]
 
     def test_speed_sweep_parallel_matches_serial(self):
-        from repro.experiments.speed_sweep import run as run_sweep
+        from repro.experiments.speed_sweep import SpeedSweepSpec, run_spec
 
         kwargs = dict(speeds_mps=(6.0, 12.0), seeds=(0,), duration_s=SHORT_TRIAL_S)
-        serial = run_sweep(workers=1, **kwargs)
-        parallel = run_sweep(workers=4, **kwargs)
+        serial = run_spec(SpeedSweepSpec(workers=1, **kwargs)).unwrap()
+        parallel = run_spec(SpeedSweepSpec(workers=4, **kwargs)).unwrap()
         assert serial.series == parallel.series
         assert serial.speeds_mps == parallel.speeds_mps
 

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from repro.sim.engine import Simulator
 from repro.sim.frames import TcpSegment
-from repro.sim.tcp import TcpParams, TcpReceiver, TcpSender, TransportSpec
+from repro.sim.tcp import TcpReceiver, TcpSender, TransportSpec
 
 
 class Pipe:
@@ -23,9 +23,7 @@ class Pipe:
         self.delivered_bytes = 0
         self.segments_seen = []
 
-    def build(self, total_bytes=None, params=None, transport=None, on_complete=None):
-        if transport is None:
-            transport = TransportSpec.from_params(params or TcpParams())
+    def build(self, total_bytes=None, transport=None, on_complete=None):
         self.sender = TcpSender(
             self.sim,
             flow_id="f1",
@@ -105,8 +103,10 @@ class TestBasicTransfer:
 class TestSlowStartAndCongestionAvoidance:
     def test_cwnd_grows_exponentially_in_slow_start(self, sim):
         pipe = Pipe(sim, one_way_s=0.1)
-        params = TcpParams(initial_cwnd_segments=1.0, initial_ssthresh_segments=1000.0)
-        sender, _ = pipe.build(params=params)
+        transport = TransportSpec(
+            initial_cwnd_segments=1.0, initial_ssthresh_segments=1000.0
+        )
+        sender, _ = pipe.build(transport=transport)
         sender.start()
         sim.run(until=0.25)   # ~1 RTT
         cwnd_1rtt = sender.cwnd
@@ -116,17 +116,19 @@ class TestSlowStartAndCongestionAvoidance:
 
     def test_cwnd_capped_by_receiver_window(self, sim):
         pipe = Pipe(sim, one_way_s=0.01)
-        params = TcpParams(max_cwnd_segments=10.0)
-        sender, _ = pipe.build(params=params)
+        transport = TransportSpec(max_cwnd_segments=10.0)
+        sender, _ = pipe.build(transport=transport)
         sender.start()
         sim.run(until=5.0)
         assert sender.cwnd <= 10.0
-        assert sender.flight_bytes <= 10 * params.mss
+        assert sender.flight_bytes <= 10 * transport.mss
 
     def test_linear_growth_after_ssthresh(self, sim):
         pipe = Pipe(sim, one_way_s=0.05)
-        params = TcpParams(initial_ssthresh_segments=4.0, max_cwnd_segments=1000.0)
-        sender, _ = pipe.build(params=params)
+        transport = TransportSpec(
+            initial_ssthresh_segments=4.0, max_cwnd_segments=1000.0
+        )
+        sender, _ = pipe.build(transport=transport)
         sender.start()
         sim.run(until=1.0)
         cwnd_a = sender.cwnd
@@ -287,29 +289,6 @@ class TestReceiver:
             )
         assert receiver.rcv_nxt == 1000
         assert sum(delivered) == 1000
-
-
-class TestDeprecationShim:
-    def test_params_kwarg_warns_and_maps_to_transport(self, sim):
-        params = TcpParams(mss=1000)
-        with pytest.warns(DeprecationWarning, match="TcpSender.*deprecated"):
-            sender = TcpSender(
-                sim, "f", "s", "c", transmit=lambda seg: None, params=params
-            )
-        assert sender.transport == TransportSpec.from_params(params)
-        assert sender.p.mss == 1000
-        assert sender.cc.name == "reno"
-
-    def test_transport_kwarg_does_not_warn(self, sim):
-        import warnings
-
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            sender = TcpSender(
-                sim, "f", "s", "c", transmit=lambda seg: None,
-                transport=TransportSpec(cc="cubic"),
-            )
-        assert sender.cc.name == "cubic"
 
 
 class TestLazyRtoTimer:

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from repro.sim.engine import Simulator
 from repro.sim.frames import TcpSegment
-from repro.sim.tcp import TcpParams, TcpReceiver, TcpSender
+from repro.sim.tcp import TcpReceiver, TcpSender
 
 
 def run_transfer(loss_windows, total_bytes=80_000, one_way_s=0.03, horizon_s=240.0):
@@ -38,9 +38,7 @@ def run_transfer(loss_windows, total_bytes=80_000, one_way_s=0.03, horizon_s=240
             return
         sim.schedule(one_way_s, holder["sender"].on_ack, ack)
 
-    sender = TcpSender(
-        sim, "f", "s", "c", transmit=down, params=TcpParams(), total_bytes=total_bytes
-    )
+    sender = TcpSender(sim, "f", "s", "c", transmit=down, total_bytes=total_bytes)
     receiver = TcpReceiver(sim, "f", "c", "s", send_ack=up)
     holder["sender"], holder["receiver"] = sender, receiver
     sender.start()

@@ -2,16 +2,15 @@
 
 The refactor's contract: extracting congestion control into
 :mod:`repro.sim.cc` must not change a single byte of any default-transport
-result.  Three equivalent selections — ``transport=None`` (the historical
-default), an explicit ``TransportSpec()`` (what ``--cc reno`` builds), and
-the deprecated ``TcpParams`` shim — must produce identical metrics *and*
-identical telemetry snapshots across the table2/fig8 grids.
+result.  Two equivalent selections — ``transport=None`` (the historical
+default) and an explicit ``TransportSpec()`` (what ``--cc reno`` builds) —
+must produce identical metrics *and* identical telemetry snapshots across
+the table2/fig8 grids.
 """
 
 from __future__ import annotations
 
 import pickle
-import warnings
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -23,7 +22,7 @@ from repro.experiments.town_runs import standard_factories
 from repro.sim.cc import TransportSpec
 from repro.sim.engine import Simulator
 from repro.sim.frames import TcpSegment
-from repro.sim.tcp import TcpParams, TcpReceiver, TcpSender
+from repro.sim.tcp import TcpReceiver, TcpSender
 
 TABLE2_LABELS = tuple(standard_factories())
 
@@ -70,13 +69,6 @@ class TestTable2GridIdentity:
             explicit.telemetry.deterministic()
         )
 
-    def test_legacy_params_spec_matches_transport_spec(self):
-        """TransportSpec.from_params lifts the old knobs losslessly."""
-        params = TcpParams(mss=1000, rto_min_s=0.3)
-        lifted = TransportSpec.from_params(params)
-        assert lifted.params() == params
-        assert lifted == TransportSpec(mss=1000, rto_min_s=0.3)
-
 
 class TestFig8Identity:
     @pytest.mark.parametrize("dwell_ms", [66.0, 300.0])
@@ -93,8 +85,8 @@ class TestFig8Identity:
 
 
 class TestSegmentTraceIdentity:
-    """At the TCP layer: the shim path, the transport path, and the default
-    all emit the identical segment trace under identical loss."""
+    """At the TCP layer: the default and an explicit Reno transport emit the
+    identical segment trace under identical loss."""
 
     def run_pipe(self, build_sender):
         sim = Simulator(seed=3)
@@ -120,7 +112,7 @@ class TestSegmentTraceIdentity:
         sim.run(until=30.0)
         return trace
 
-    def test_all_three_construction_paths_identical(self):
+    def test_default_and_explicit_reno_identical(self):
         def default(sim, down):
             return TcpSender(sim, "f", "s", "c", transmit=down, total_bytes=80_000)
 
@@ -130,17 +122,6 @@ class TestSegmentTraceIdentity:
                 transport=TransportSpec(),
             )
 
-        def via_params_shim(sim, down):
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", DeprecationWarning)
-                return TcpSender(
-                    sim, "f", "s", "c", transmit=down, total_bytes=80_000,
-                    params=TcpParams(),
-                )
-
-        traces = [
-            self.run_pipe(build)
-            for build in (default, via_transport, via_params_shim)
-        ]
-        assert traces[0] == traces[1] == traces[2]
+        traces = [self.run_pipe(build) for build in (default, via_transport)]
+        assert traces[0] == traces[1]
         assert len(traces[0]) > 50  # the run actually did something
