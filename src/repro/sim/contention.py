@@ -28,18 +28,23 @@ This module supplies that model as an opt-in layer on the medium:
   ``cw_max``) when its unicast frame was wiped by interference (the
   missed-ACK signal) and resets to ``cw_min`` on an idle grant.
 * **Hidden-terminal collisions are receiver-side**: senders too far
-  apart to sense each other may still cover a common receiver.
-  In-flight transmissions are tracked per cell of the 3x3 interference
-  footprint; at delivery time each candidate receiver checks *its own*
-  cell for a foreign flight overlapping the frame's airtime and, when
-  one exists, misses the frame (no loss draw is consumed — the frame
-  was destroyed by interference, not channel noise).  Receivers outside
-  the interferer's footprint still hear the frame, so one hidden
-  terminal damages a pocket of the coverage area rather than the whole
-  transmission.  Each delivery screens a receiver cell's flights once
-  (foreign sender, overlapping airtime) and re-checks only the survivors'
-  positions per receiver.  A unicast sender whose destination was wiped
-  gets the missing-ACK signal and doubles its window.
+  apart to sense each other may still cover a common receiver.  Each
+  granted flight is recorded once, under its sender's cell; at delivery
+  time each candidate receiver checks the flights sent from the 3x3
+  cells around *its own* cell for a foreign one overlapping the frame's
+  airtime and, when one exists, misses the frame (no loss draw is
+  consumed — the frame was destroyed by interference, not channel
+  noise).  Receivers outside the interferer's footprint still hear the
+  frame, so one hidden terminal damages a pocket of the coverage area
+  rather than the whole transmission.  The sense grid gates the scan: a
+  cell's sensed horizon is already the latest end of any flight sent
+  from its neighbourhood, and the grid also keeps who set it and the
+  runner-up, so a receiver cell whose latest foreign flight ended by the
+  frame's start is clean after one read.  Each delivery screens the
+  remaining cells' flights once (foreign sender, overlapping airtime)
+  and re-checks only the survivors' positions per receiver.  A unicast
+  sender whose destination was wiped gets the missing-ACK signal and
+  doubles its window.
 * **Accounting**: per-channel and per-sender airtime, deferral, and
   collision tallies, plus :mod:`repro.obs` counters and an
   :meth:`ContentionState.export_telemetry` hook that publishes per-AP /
@@ -87,7 +92,7 @@ _FALSEY = ("0", "false", "no", "off")
 _TRUTHY = ("1", "true", "yes", "on", "csma")
 
 #: Cells shorter than this skip the expired-flight prune on booking; the
-#: overlap predicates already exclude stale flights (see acquire), so the
+#: overlap predicates already exclude stale flights (see _record), so the
 #: only cost of keeping them briefly is a slightly longer exact scan.
 _PRUNE_MIN = 16
 
@@ -128,6 +133,13 @@ class ContentionSpec:
     beacon_stagger: bool = False
 
     def __post_init__(self) -> None:
+        for name in ("cw_min", "cw_max", "cw_mgmt"):
+            # Windows are slot counts and the backoff draw needs a Python
+            # int: a float passes the range checks below and fails only
+            # at the first draw that uses it.
+            value = getattr(self, name)
+            if type(value) is not int:
+                raise ValueError(f"{name} must be an int: {value!r}")
         if not math.isfinite(self.slot_time_s) or self.slot_time_s <= 0:
             raise ValueError(f"slot_time_s must be positive: {self.slot_time_s!r}")
         if not math.isfinite(self.difs_s) or self.difs_s < 0:
@@ -207,12 +219,18 @@ class _SenseGrid:
     """One channel's dense grid of *sensed* busy horizons.
 
     ``rows[cx - x0][cy - y0]`` holds the horizon any station in cell
-    ``(cx, cy)`` senses: the max over its 3x3 neighbourhood of the
-    own-cell bookings.  Booking writes ``max(cell, done)`` over the 3x3
-    footprint, so sensing reads exactly one element; bookings are ~4x
-    rarer than senses in contended city runs (most acquires defer), so
-    the neighbourhood work sits on the cheaper side.  ``horizon`` is the
-    channel-wide max, which makes ``busy_until`` O(1).
+    ``(cx, cy)`` senses: the latest ``done`` of any flight whose sender
+    cell lies in its 3x3 neighbourhood.  Booking writes ``max(cell,
+    done)`` over the 3x3 footprint, so sensing reads exactly one element;
+    bookings are ~4x rarer than senses in contended city runs (most
+    acquires defer), so the neighbourhood work sits on the cheaper side.
+    ``horizon`` is the channel-wide max, which makes ``busy_until`` O(1).
+
+    Each cell also keeps ``owners`` (the sender whose flight set its
+    horizon) and ``seconds`` (the latest ``done`` of any *other*
+    sender's flight in the neighbourhood), so :meth:`foreign` answers
+    "when does the last flight not sent by ``sender_id`` end?" in one
+    read — the hidden-terminal scan's gate.
 
     The backing store is nested Python lists: access is always a single
     scalar element, where list indexing beats any array read and yields
@@ -220,7 +238,7 @@ class _SenseGrid:
     outside it are idle air (0.0).
     """
 
-    __slots__ = ("x0", "y0", "w", "h", "rows", "horizon")
+    __slots__ = ("x0", "y0", "w", "h", "rows", "owners", "seconds", "horizon")
 
     def __init__(self, cx: int, cy: int) -> None:
         self.x0 = cx - _GRID_PAD
@@ -229,44 +247,74 @@ class _SenseGrid:
         self.w = side
         self.h = side
         self.rows = [[0.0] * side for _ in range(side)]
+        self.owners: List[List[Optional[str]]] = [[None] * side for _ in range(side)]
+        self.seconds = [[0.0] * side for _ in range(side)]
         self.horizon = 0.0
 
-    def book(self, cx: int, cy: int, done: float) -> None:
+    def book(self, cx: int, cy: int, done: float, sender_id: str) -> None:
         ix = cx - self.x0
         iy = cy - self.y0
         if not (1 <= ix < self.w - 1 and 1 <= iy < self.h - 1):
             self._grow(cx, cy)
             ix = cx - self.x0
             iy = cy - self.y0
-        for row in self.rows[ix - 1 : ix + 2]:
-            if done > row[iy - 1]:
-                row[iy - 1] = done
-            if done > row[iy]:
-                row[iy] = done
-            if done > row[iy + 1]:
-                row[iy + 1] = done
+        rows = self.rows
+        owners = self.owners
+        seconds = self.seconds
+        for i in (ix - 1, ix, ix + 1):
+            row = rows[i]
+            own = owners[i]
+            sec = seconds[i]
+            for j in (iy - 1, iy, iy + 1):
+                top = row[j]
+                if done > top:
+                    if own[j] != sender_id:
+                        # A new owner: the old one's horizon is now the
+                        # latest flight by anyone else (it bounds the old
+                        # runner-up).
+                        sec[j] = top
+                        own[j] = sender_id
+                    row[j] = done
+                elif own[j] != sender_id and done > sec[j]:
+                    sec[j] = done
         if done > self.horizon:
             self.horizon = done
 
+    def foreign(self, cx: int, cy: int, sender_id: str) -> float:
+        """Latest ``done`` over cell ``(cx, cy)``'s neighbourhood flights
+        not sent by ``sender_id`` (0.0 outside the grid)."""
+        ix = cx - self.x0
+        iy = cy - self.y0
+        if 0 <= ix < self.w and 0 <= iy < self.h:
+            if self.owners[ix][iy] == sender_id:
+                return self.seconds[ix][iy]
+            return self.rows[ix][iy]
+        return 0.0
+
     def _grow(self, cx: int, cy: int) -> None:
         """Reallocate to cover ``(cx, cy)`` with a 1-cell write margin."""
-        old = self.rows
         x0 = min(self.x0, cx - _GRID_PAD)
         y0 = min(self.y0, cy - _GRID_PAD)
         x1 = max(self.x0 + self.w, cx + _GRID_PAD + 1)
         y1 = max(self.y0 + self.h, cy + _GRID_PAD + 1)
         w = x1 - x0
         h = y1 - y0
-        rows = [[0.0] * h for _ in range(w)]
         ox = self.x0 - x0
         oy = self.y0 - y0
-        for i, old_row in enumerate(old):
-            rows[ox + i][oy : oy + self.h] = old_row
+
+        def regrown(old, fill):
+            new = [[fill] * h for _ in range(w)]
+            for i, old_row in enumerate(old):
+                new[ox + i][oy : oy + self.h] = old_row
+            return new
+
+        self.rows = regrown(self.rows, 0.0)
+        self.owners = regrown(self.owners, None)
+        self.seconds = regrown(self.seconds, 0.0)
         self.x0 = x0
         self.y0 = y0
         self.w = w
         self.h = h
-        self.rows = rows
 
 
 class ContentionState:
@@ -276,10 +324,14 @@ class ContentionState:
     ``_busy_until`` FIFO; everything here is keyed by the medium's own
     ``(channel, cell)`` bins so domain work stays O(cell).
 
-    Carrier sense reads one cell of a per-channel :class:`_SenseGrid`;
-    the hidden-terminal scan screens each receiver cell's flights once per
-    delivery (:meth:`_screened`) and confirms the survivors per receiver
-    with the exact capture predicate.
+    Carrier sense reads one cell of a per-channel :class:`_SenseGrid`.
+    Each granted flight is recorded once, under its sender's cell
+    (:meth:`_record`).  The hidden-terminal scan first reads a receiver
+    cell's foreign horizon off the same grid; only when a foreign flight
+    in its neighbourhood ends after the delivery's start does it gather
+    the flights of the 3x3 sender cells around it (:meth:`_screened`),
+    and it confirms the survivors per receiver with the exact capture
+    predicate.
     """
 
     def __init__(self, medium: "Medium", spec: ContentionSpec):
@@ -292,12 +344,8 @@ class ContentionState:
         self._bin_m = medium._bin_m
         #: channel -> sense grid (built on first booking).
         self._grids: Dict[int, _SenseGrid] = {}
-        #: (channel, cx, cy) -> in-flight transmissions covering the cell.
+        #: (channel, cx, cy) -> flights granted to senders in that cell.
         self._inflight: Dict[Tuple[int, int, int], List[_Flight]] = {}
-        #: (channel, cx, cy) -> that cell's nine neighbourhood keys, so a
-        #: grant re-visiting a cell (vehicles loop the same corridor all
-        #: run) reuses the tuples instead of allocating nine per booking.
-        self._nbr_keys: Dict[Tuple[int, int, int], Tuple] = {}
         #: One delivery's screened flight scans: the key identifies the
         #: delivery, the dict maps receiver cells to the positions of their
         #: foreign overlapping flights.
@@ -425,36 +473,7 @@ class ContentionState:
         done = start + airtime
         if airtime > self._max_airtime:
             self._max_airtime = airtime
-        self._book(channel, cx, cy, done)
-        flight: _Flight = (start, done, sender_id, x, y)
-        inflight = self._inflight
-        # Flights must outlive their own delivery events: an overlap is
-        # re-checked per receiver at delivery time, so prune only what
-        # ended more than a max-airtime (plus slack) ago.  Pruning is
-        # lazy — it waits until a cell holds _PRUNE_MIN flights — which
-        # is invisible to :meth:`interfered`: a stale flight has
-        # ``f_end <= now - max_airtime - 1e-3``, while any later-checked
-        # delivery has ``start >= done - max_airtime > now - 1us -
-        # max_airtime``, so ``start < f_end`` can never hold for it.
-        cutoff = now - self._max_airtime - 1e-3
-        own = (channel, cx, cy)
-        keys = self._nbr_keys.get(own)
-        if keys is None:
-            keys = self._nbr_keys[own] = tuple(
-                (channel, nx, ny)
-                for nx in (cx - 1, cx, cx + 1)
-                for ny in (cy - 1, cy, cy + 1)
-            )
-        for key in keys:
-            flights = inflight.get(key)
-            if flights is None:
-                inflight[key] = [flight]
-            elif flights[0][1] <= cutoff and len(flights) >= _PRUNE_MIN:
-                live = [f for f in flights if f[1] > cutoff]
-                live.append(flight)
-                inflight[key] = live
-            else:
-                flights.append(flight)
+        self._record(channel, cx, cy, (start, done, sender_id, x, y))
         self.grants += 1
         self.airtime_s_by_channel[channel] = (
             self.airtime_s_by_channel.get(channel, 0.0) + airtime
@@ -488,21 +507,40 @@ class ContentionState:
             return grid.rows[ix][iy]
         return 0.0
 
-    def _book(self, channel: int, cx: int, cy: int, done: float) -> None:
-        """Busy-mark the sender's *own* cell until ``done``.
+    def _record(self, channel: int, cx: int, cy: int, flight: _Flight) -> None:
+        """Book a granted flight from sender cell ``(cx, cy)``.
 
-        The grid spreads the booking over the 3x3 footprint *as sensed
+        The flight busy-marks the sender's *own* cell until its end, and
+        the grid spreads that booking over the 3x3 footprint *as sensed
         horizons*: a neighbour hears the transmission, but a booking never
         becomes a neighbour's own.  Charging every frame's airtime to nine
         cells' own horizons instead would couple them, and the busy
         horizons then grow without bound under beacon load (deferred
         sends re-extend their neighbours, dominoing into worse-than-
-        global serialization).
+        global serialization).  The flight itself is kept once, in the
+        sender cell's list, for the hidden-terminal scan.
         """
         grid = self._grids.get(channel)
         if grid is None:
             grid = self._grids[channel] = _SenseGrid(cx, cy)
-        grid.book(cx, cy, done)
+        grid.book(cx, cy, flight[1], flight[2])
+        # Flights must outlive their own delivery events: an overlap is
+        # re-checked per receiver at delivery time, so prune only what
+        # ended more than a max-airtime (plus slack) ago.  Pruning is
+        # lazy — it waits until a cell holds _PRUNE_MIN flights — which
+        # is invisible to :meth:`interfered`: a stale flight has
+        # ``f_end <= now - max_airtime - 1e-3``, while any later-checked
+        # delivery has ``start >= done - max_airtime > now - 1us -
+        # max_airtime``, so ``start < f_end`` can never hold for it.
+        key = (channel, cx, cy)
+        flights = self._inflight.get(key)
+        if flights is None:
+            self._inflight[key] = [flight]
+            return
+        cutoff = self.sim.now - self._max_airtime - 1e-3
+        if flights[0][1] <= cutoff and len(flights) >= _PRUNE_MIN:
+            flights[:] = [f for f in flights if f[1] > cutoff]
+        flights.append(flight)
 
     # -- hidden-terminal scan ------------------------------------------
     def interfered(
@@ -564,6 +602,10 @@ class ContentionState:
         ratio = self.spec.capture_ratio
         hypot = math.hypot
         screened = self._screened
+        grid = self._grids.get(channel)
+        if grid is None:
+            return [False] * len(rows)
+        foreign = grid.foreign
         flags = []
         append = flags.append
         # Receivers arrive in registration order, so spatial neighbours
@@ -579,7 +621,11 @@ class ContentionState:
             if cell_x != last_x or cell_y != last_y:
                 last_x = cell_x
                 last_y = cell_y
-                pts = screened(channel, cell_x, cell_y, sender_id, start, done)
+                pts = (
+                    screened(channel, cell_x, cell_y, sender_id, start, done)
+                    if foreign(cell_x, cell_y, sender_id) > start
+                    else ()
+                )
             hit = False
             if pts:
                 capture = ratio * row[6]
@@ -603,9 +649,12 @@ class ContentionState:
     ) -> bool:
         """The flight scan behind :meth:`interfered`."""
         bin_m = self._bin_m
-        pts = self._screened(
-            channel, int(rx // bin_m), int(ry // bin_m), sender_id, start, done
-        )
+        cx = int(rx // bin_m)
+        cy = int(ry // bin_m)
+        grid = self._grids.get(channel)
+        if grid is None or grid.foreign(cx, cy, sender_id) <= start:
+            return False
+        pts = self._screened(channel, cx, cy, sender_id, start, done)
         if not pts:
             return False
         reach = min(self.medium.range_m, self.spec.capture_ratio * sender_distance)
@@ -624,8 +673,14 @@ class ContentionState:
         start: float,
         done: float,
     ) -> List[Tuple[float, float]]:
-        """Positions of cell ``(cx, cy)``'s foreign flights overlapping
-        ``[start, done)``, in recording order (empty for a clean cell).
+        """Positions of the foreign flights overlapping ``[start, done)``
+        whose senders sit in receiver cell ``(cx, cy)``'s 3x3
+        neighbourhood.
+
+        Callers gate first: the grid's foreign horizon for the cell
+        (:meth:`_SenseGrid.foreign`) is the latest end of any such flight
+        not sent by ``sender_id``, so a cell whose horizon is not after
+        ``start`` would screen empty and is never gathered.
 
         The receiver-independent predicates run once per cell and
         delivery.  Reusing them across one delivery's receivers is exact:
@@ -641,12 +696,19 @@ class ContentionState:
         cell = (cx, cy)
         pts = self._scan_cells.get(cell)
         if pts is None:
-            flights = self._inflight.get((channel, cx, cy), ())
-            pts = self._scan_cells[cell] = [
-                (f_x, f_y)
-                for f_start, f_end, f_sender, f_x, f_y in flights
-                if f_sender != sender_id and f_start < done and start < f_end
-            ]
+            pts = self._scan_cells[cell] = []
+            inflight = self._inflight
+            for nx in (cx - 1, cx, cx + 1):
+                for ny in (cy - 1, cy, cy + 1):
+                    flights = inflight.get((channel, nx, ny))
+                    if flights:
+                        pts += [
+                            (f_x, f_y)
+                            for f_start, f_end, f_sender, f_x, f_y in flights
+                            if f_sender != sender_id
+                            and f_start < done
+                            and start < f_end
+                        ]
         return pts
 
     def note_collision(self, sender_id: str, frame_failed: bool) -> None:

@@ -82,6 +82,11 @@ class TestContentionSpec:
             {"cw_min": 0},
             {"cw_max": 8},  # below cw_min
             {"cw_mgmt": 0},
+            {"cw_min": 16.5},
+            {"cw_min": 16.0},
+            {"cw_max": 1024.5},
+            {"cw_mgmt": 2.5},
+            {"cw_mgmt": True},
             {"capture_ratio": 0.5},
             {"capture_ratio": float("nan")},
         ],

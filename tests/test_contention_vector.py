@@ -1,15 +1,17 @@
 """The CSMA/CA state against a dict-walk reference, unit to trial scale.
 
 :class:`~repro.sim.contention.ContentionState` keeps carrier sense in a
-per-channel grid of sensed horizons and screens each receiver cell's
-flights once per delivery.  Both are data-structure choices that must be
-invisible: every grant, deferral, backoff draw, collision and
-deterministic telemetry counter has to match the straightforward model —
-a 3x3 dict walk per sense and a full flight-list walk per receiver — bit
-for bit.  :class:`ReferenceContentionState` is that straightforward model,
-kept here as a test-only oracle; tests install it by monkeypatching
-``repro.sim.radio.ContentionState``, the name the medium builds its state
-through.
+per-channel grid of sensed horizons, records each flight once under its
+sender's cell, and gathers a receiver cell's neighbourhood flights only
+when the grid says a foreign one may still overlap.  These are
+data-structure choices that must be invisible: every grant, deferral,
+backoff draw, collision and deterministic telemetry counter has to match
+the straightforward model — a 3x3 dict walk per sense, every flight
+copied into the nine cells it covers, and a full flight-list walk per
+receiver — bit for bit.  :class:`ReferenceContentionState` is that
+straightforward model, kept here as a test-only oracle; tests install it
+by monkeypatching ``repro.sim.radio.ContentionState``, the name the
+medium builds its state through.
 
 The reference runs also resolve receivers through the test-only
 reference walk (``tests/reference_delivery.py``) without numpy, so the
@@ -37,14 +39,27 @@ from repro.sim.radio import Medium
 
 class ReferenceContentionState(ContentionState):
     """The dict-walk CSMA/CA state: 9-key sense, own-cell booking dict,
-    and a per-receiver walk over the cell's whole flight list."""
+    every flight copied into the nine cells of its footprint, and a
+    per-receiver walk over the receiver cell's whole flight list.
+
+    It keeps its own books: :meth:`_record`, the hook ``acquire`` books
+    every grant through, fills them, and the sense grid, flight store and
+    scan memo the optimized state would use are deleted, so any read of
+    them fails.
+    """
 
     def __init__(self, medium, spec):
         super().__init__(medium, spec)
+        del self._grids, self._inflight, self._scan_key, self._scan_cells
         #: (channel, cx, cy) -> absolute time the cell's air frees up.
         self._busy = {}
         #: channel -> latest ``done`` ever booked.
         self._chan_horizon = {}
+        #: (channel, cx, cy) -> every live flight whose 3x3 footprint
+        #: covers the cell.
+        self._covering = {}
+        #: Longest flight recorded so far (bounds the prune below).
+        self._longest = 0.0
 
     def _sense(self, channel, cx, cy):
         busy = self._busy
@@ -56,12 +71,23 @@ class ReferenceContentionState(ContentionState):
                     sensed = t
         return sensed
 
-    def _book(self, channel, cx, cy, done):
+    def _record(self, channel, cx, cy, flight):
+        start, done = flight[0], flight[1]
         own = (channel, cx, cy)
         if self._busy.get(own, 0.0) < done:
             self._busy[own] = done
         if done > self._chan_horizon.get(channel, 0.0):
             self._chan_horizon[channel] = done
+        # Eager prune: a flight that ended a longest-flight (plus slack)
+        # ago can overlap no delivery checked from now on.
+        self._longest = max(self._longest, done - start)
+        cutoff = self.sim.now - self._longest - 1e-3
+        for nx in (cx - 1, cx, cx + 1):
+            for ny in (cy - 1, cy, cy + 1):
+                key = (channel, nx, ny)
+                live = [f for f in self._covering.get(key, ()) if f[1] > cutoff]
+                live.append(flight)
+                self._covering[key] = live
 
     def busy_until(self, channel):
         return self._chan_horizon.get(channel, 0.0)
@@ -74,7 +100,7 @@ class ReferenceContentionState(ContentionState):
 
     def _interfered(self, sender_id, channel, rx, ry, start, done, sender_distance):
         bin_m = self._bin_m
-        flights = self._inflight.get((channel, int(rx // bin_m), int(ry // bin_m)))
+        flights = self._covering.get((channel, int(rx // bin_m), int(ry // bin_m)))
         if not flights:
             return False
         reach = min(self.medium.range_m, self.spec.capture_ratio * sender_distance)
@@ -134,6 +160,18 @@ def contended_medium(sim, reference=False, loss_rate=0.0):
         return Medium(sim, loss_rate=loss_rate, contention=ContentionSpec())
 
 
+def record_flights(reference, flights):
+    """A fresh contended state (oracle or optimized) with each of
+    ``flights`` — ``(start, done, sender_id, x, y)`` — booked on channel 1
+    in order through ``_record``, the hook ``acquire`` books grants
+    through, under the cell of the flight's position."""
+    state = contended_medium(Simulator(seed=5), reference=reference).contention
+    bin_m = state._bin_m
+    for flight in flights:
+        state._record(1, int(flight[3] // bin_m), int(flight[4] // bin_m), flight)
+    return state
+
+
 def test_reference_is_installed_through_the_radio_module():
     with reference_paths(True):
         medium = Medium(Simulator(seed=0), contention=ContentionSpec())
@@ -190,13 +228,8 @@ class TestInterferenceEquivalence:
     exactly on the capture boundary."""
 
     def _states(self, flights):
-        states = []
-        for reference in (True, False):
-            state = contended_medium(Simulator(seed=5), reference=reference).contention
-            for cell, cell_flights in flights.items():
-                state._inflight[cell] = list(cell_flights)
-            states.append(state)
-        return states
+        """Oracle and optimized state, each with ``flights`` recorded."""
+        return [record_flights(reference, flights) for reference in (True, False)]
 
     def _agree(self, states, sender_id, channel, rx, ry, start, done, distance):
         reference, state = states
@@ -209,23 +242,19 @@ class TestInterferenceEquivalence:
         # Sender 30 m out: capture bound = min(100, 2.5 * 30) = 75 m.
         # An interferer at exactly 75 m is inside (<=); at the next float
         # out it is not.  Both states must make the same call.
-        states = self._states(
-            {(1, 0, 0): [(0.0, 0.001, "far", 75.0, 0.0)]}
-        )
+        states = self._states([(0.0, 0.001, "far", 75.0, 0.0)])
         assert self._agree(states, "s", 1, 0.0, 0.0, 0.0, 0.0005, 30.0) is True
         states = self._states(
-            {(1, 0, 0): [(0.0, 0.001, "far", math.nextafter(75.0, 100.0), 0.0)]}
+            [(0.0, 0.001, "far", math.nextafter(75.0, 100.0), 0.0)]
         )
         assert self._agree(states, "s", 1, 0.0, 0.0, 0.0, 0.0005, 30.0) is False
 
     def test_colocated_sender_zero_capture(self):
         # Receiver on top of its sender: capture bound collapses to 0 —
         # only an interferer at the exact same point can wipe it.
-        at_rx = {(1, 0, 0): [(0.0, 0.001, "far", 10.0, 20.0)]}
-        states = self._states(at_rx)
+        states = self._states([(0.0, 0.001, "far", 10.0, 20.0)])
         assert self._agree(states, "s", 1, 10.0, 20.0, 0.0, 0.0005, 0.0) is True
-        near = {(1, 0, 0): [(0.0, 0.001, "far", 10.0 + 1e-9, 20.0)]}
-        states = self._states(near)
+        states = self._states([(0.0, 0.001, "far", 10.0 + 1e-9, 20.0)])
         assert self._agree(states, "s", 1, 10.0, 20.0, 0.0, 0.0005, 0.0) is False
 
     def test_own_flights_and_nonoverlapping_windows_ignored(self):
@@ -234,14 +263,14 @@ class TestInterferenceEquivalence:
             (0.002, 0.003, "far", 1.0, 0.0),  # starts after done
             (-0.002, -0.001, "far", 1.0, 0.0),  # ended before start
         ]
-        states = self._states({(1, 0, 0): flights})
+        states = self._states(flights)
         assert self._agree(states, "s", 1, 0.0, 0.0, 0.0, 0.0015, 40.0) is False
 
     def test_crowded_cell_agrees(self):
         # Sixteen overlapping foreign flights in one cell: answers must
         # agree for receivers straddling the reach boundary.
         flights = [(0.0, 0.001, f"f{i}", 200.0 + 3.0 * i, 0.0) for i in range(16)]
-        reference, state = self._states({(1, 2, 0): flights})
+        reference, state = self._states(flights)
         for rx in (200.0, 230.0, 260.0, 290.0):
             a = reference.interfered("s", 1, rx, 0.0, 0.0, 0.0005, 38.0)
             b = state.interfered("s", 1, rx, 0.0, 0.0, 0.0005, 38.0)
@@ -256,7 +285,7 @@ class TestInterferenceEquivalence:
             )
         ]
         answers = []
-        for state in self._states({(1, 2, 0): flights}):
+        for state in self._states(flights):
             batched = state.interfered_rows("s", 1, rows, 0.0, 0.0005)
             singles = [
                 state.interfered("s", 1, r[4], r[5], 0.0, 0.0005, r[6])
@@ -266,6 +295,115 @@ class TestInterferenceEquivalence:
             answers.append(batched)
         assert answers[0] == answers[1]
         assert True in answers[0] and False in answers[0]
+
+
+class TestForeignHorizonGate:
+    """The optimized scan reads a receiver cell's foreign horizon before
+    it touches a flight: the latest end of any neighbourhood flight not
+    sent by the delivering sender.  These are the gate's edges, each
+    checked against the oracle's full walk.  Geometry: cells are 100 m,
+    the receiver at (120, 0) sits in cell 1, the delivering sender ``s``
+    books from cell 0 and the foreign sender ``far`` from cell 1."""
+
+    RX = (120.0, 0.0)
+
+    def _agree(self, flights, start, done, rx=RX, distance=70.0, channel=1):
+        reference, state = (record_flights(ref, flights) for ref in (True, False))
+        a = reference.interfered("s", channel, rx[0], rx[1], start, done, distance)
+        b = state.interfered("s", channel, rx[0], rx[1], start, done, distance)
+        assert a == b, (flights, start, done, rx)
+        return a, state
+
+    def test_foreign_flight_ending_exactly_at_start_is_clear(self):
+        hit, _ = self._agree([(0.0, 0.001, "far", 150.0, 0.0)], 0.001, 0.0015)
+        assert hit is False
+        later = math.nextafter(0.001, 1.0)
+        hit, _ = self._agree([(0.0, later, "far", 150.0, 0.0)], 0.001, 0.0015)
+        assert hit is True
+
+    @pytest.mark.parametrize("foreign_first", [True, False])
+    def test_sender_owned_horizon_screens_the_runner_up(self, foreign_first):
+        # ``s``'s next frame ends last, so ``s`` owns the receiver cell's
+        # horizon; the overlapping foreign flight is only the runner-up.
+        # A gate that took a cell the sender owns for clear misses it.
+        foreign = (0.0, 0.001, "far", 150.0, 0.0)
+        own_next = (0.0012, 0.003, "s", 50.0, 0.0)
+        flights = [foreign, own_next] if foreign_first else [own_next, foreign]
+        hit, state = self._agree(flights, 0.0001, 0.0008)
+        assert hit is True
+        grid = state._grids[1]
+        assert grid.foreign(1, 0, "far") == 0.003
+        assert grid.foreign(1, 0, "s") == 0.001
+
+    @pytest.mark.parametrize("foreign_first", [True, False])
+    def test_equal_done_from_own_and_foreign_flight(self, foreign_first):
+        own = (0.0, 0.001, "s", 50.0, 0.0)
+        foreign = (0.0002, 0.001, "far", 150.0, 0.0)
+        flights = [foreign, own] if foreign_first else [own, foreign]
+        hit, state = self._agree(flights, 0.0, 0.001)
+        assert hit is True
+        assert state._grids[1].foreign(1, 0, "s") == 0.001
+
+    def test_grid_growth_keeps_owners_and_runners_up(self):
+        # A flight 5 km out regrows the grid after the runner-up case is
+        # booked; the gate must still screen the cell the sender owns.
+        flights = [
+            (0.0, 0.001, "far", 150.0, 0.0),
+            (0.0012, 0.003, "s", 50.0, 0.0),
+            (0.0, 0.002, "other", -5000.0, 5000.0),
+        ]
+        hit, state = self._agree(flights, 0.0001, 0.0008)
+        assert hit is True
+        assert state._grids[1].foreign(1, 0, "s") == 0.001
+
+    def test_receiver_cell_outside_the_grid(self):
+        # The first booking, from cell 0, lays the grid over cells -8..8;
+        # ``far`` books from cell 7, so its footprint fills the last
+        # column (cell 8) and nothing lies beyond it.
+        flights = [(0.0, 0.0005, "near", 50.0, 0.0), (0.0, 0.001, "far", 750.0, 0.0)]
+        hit, state = self._agree(flights, 0.0, 0.0008, rx=(820.0, 0.0), distance=40.0)
+        assert hit is True
+        assert state._grids[1].w == 17 and state._grids[1].x0 == -8
+        for rx in ((905.0, 0.0), (-805.0, 0.0), (0.0, -5000.0), (0.0, 5000.0)):
+            hit, _ = self._agree(flights, 0.0, 0.0008, rx=rx, distance=40.0)
+            assert hit is False
+        # A channel nobody booked has no grid at all.
+        hit, _ = self._agree(flights, 0.0, 0.0008, rx=(760.0, 0.0), channel=6)
+        assert hit is False
+        rows = [(0, None, -50.0, False, 760.0, 0.0, 40.0)]
+        for ref in (True, False):
+            state = record_flights(ref, flights)
+            assert state.interfered_rows("s", 6, rows, 0.0, 0.0008) == [False]
+
+    def _mobile_run(self, reference):
+        sim = Simulator(seed=7)
+        medium = contended_medium(sim, reference=reference)
+        s = FakeStation("s", x=50.0)
+        r = FakeStation("r", x=500.0)
+        far = FakeStation("far", x=560.0)
+        far_rx = FakeStation("far_rx", x=620.0)
+        stations = (s, r, far, far_rx)
+        for station in stations:
+            medium.register(station)
+        medium.transmit(s, data_frame("s", "r"))
+        medium.transmit(far, data_frame("far", "far_rx"))
+        # ``s`` booked its airtime from cell 0 and drives on: its frame is
+        # delivered from cell 4, next to ``far``'s overlapping flight.
+        s.x = 450.0
+        sim.run(until=0.1)
+        return (
+            [(st.station_id, st.received, st.failed) for st in stations],
+            medium.frames_collided,
+            medium.contention.collisions,
+        )
+
+    def test_mobile_sender_delivers_from_another_cell(self):
+        reference = self._mobile_run(True)
+        assert reference == self._mobile_run(False)
+        by_id = {sid: (received, failed) for sid, received, failed in reference[0]}
+        assert by_id["r"] == ([], [])  # wiped by ``far``
+        assert by_id["s"][1] == ["s"]  # so ``s`` misses its ACK
+        assert [src for src, _, _ in by_id["far_rx"][0]] == ["far"]
 
 
 class TestBusyUntilComplexity:
