@@ -534,6 +534,7 @@ def test_perf_transport_matrix(report):
     overhead in the split proxy.
     """
     from repro.sim.cc import TransportSpec
+    from repro.sim.world import StackSpec
 
     factory = spider_factory(OperationMode.equal_split((1, 6, 11), 0.6), 7)
     duration = min(_duration(), 120.0)
@@ -552,7 +553,7 @@ def test_perf_transport_matrix(report):
             f"perf cc={cc} split={'on' if split else 'off'}",
             seed=0,
             duration_s=duration,
-            transport=TransportSpec(cc=cc, split=split),
+            stack=StackSpec(transport=TransportSpec(cc=cc, split=split)),
         )
         total_events += metrics.events_processed
         key = f"{cc}_{'split' if split else 'e2e'}_kBps"

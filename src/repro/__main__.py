@@ -17,7 +17,7 @@ Every experiment shares one flag vocabulary, parsed here once:
 ``--seed S``
     base seed (alone: run just that one seed),
 ``--duration S``
-    simulated seconds per trial,
+    simulated seconds per trial (finite and positive),
 ``--json-out PATH``
     also write the :class:`~repro.runner.TrialResult` envelope as JSON,
 ``--telemetry PATH``
@@ -48,18 +48,20 @@ Every experiment shares one flag vocabulary, parsed here once:
     fault-tolerance proof knob: results still match serial exactly.
 ``--cc {reno,cubic,bbr,quic0rtt}``
     congestion controller for every TCP flow the experiment spawns
-    (default: the ``REPRO_CC`` environment variable, else Reno;
-    ``--cc reno`` is byte-identical to the default),
+    (default Reno; ``--cc reno`` is byte-identical to the default),
 ``--split`` / ``--no-split``
     terminate TCP at the AP and relay over a split connection (see
-    :class:`repro.sim.ap.SplitTcpProxy`; default: ``REPRO_SPLIT``).
+    :class:`repro.sim.ap.SplitTcpProxy`; default: no split).
 ``--contention MODE``
     replace the global per-channel airtime FIFO with the CSMA/CA
     multi-cell MAC (:mod:`repro.sim.contention`) in every world the
     experiment builds: ``on``/``off``, optionally with the ``stagger``
     modifier (``on,stagger`` / ``off,stagger``) to also stagger AP
-    beacon phases.  Default: the ``REPRO_CONTENTION`` environment
-    variable, else the historical global FIFO.
+    beacon phases.  Default: the historical global FIFO.
+
+These three flags are the only way to choose the world stack from the
+command line: they fill the spec's ``transport`` and ``contention``,
+which its ``stack`` carries to every world the experiment builds.
 
 Flags map onto the experiment's spec via
 :func:`repro.experiments.api.spec_from_options`, so fields a given spec
@@ -71,6 +73,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from typing import Optional, Tuple
 
@@ -188,7 +191,7 @@ def _build_parser() -> argparse.ArgumentParser:
         default=None,
         help="congestion controller for every TCP flow; experiments "
         "without TCP traffic (analytic figures, table1) ignore it "
-        "(default: $REPRO_CC, else reno)",
+        "(default: reno)",
     )
     parser.add_argument(
         "--split",
@@ -203,15 +206,14 @@ def _build_parser() -> argparse.ArgumentParser:
         dest="split",
         action="store_const",
         const=False,
-        help="force split-TCP off (overrides REPRO_SPLIT)",
+        help="keep TCP end-to-end (the default, spelled out)",
     )
     parser.add_argument(
         "--contention",
         default=None,
         metavar="MODE",
         help="CSMA/CA multi-cell MAC: on/off, plus the stagger modifier "
-        "(on,stagger / off,stagger) "
-        "(default: $REPRO_CONTENTION, else the global airtime FIFO)",
+        "(on,stagger / off,stagger) (default: the global airtime FIFO)",
     )
     return parser
 
@@ -243,6 +245,9 @@ def main(argv=None) -> int:
         return 2
     if args.trials is not None and args.trials < 1:
         print("--trials must be >= 1", file=sys.stderr)
+        return 2
+    if args.duration is not None and not 0 < args.duration < math.inf:
+        print("--duration must be finite and > 0", file=sys.stderr)
         return 2
     want_telemetry = args.telemetry is not None or args.telemetry_summary
     try:

@@ -262,7 +262,7 @@ class _JoinPipeline:
         self._verify_service = PingService(
             manager.sim, self.iface, target_ip=manager.world.server.ip
         )
-        if manager.world.transport.zero_rtt and self.bssid in manager._resumable:
+        if manager.world.stack.transport.zero_rtt and self.bssid in manager._resumable:
             # 0-RTT resumption: this client verified this AP before, so the
             # session resumes without the probe — no join.verify span is
             # ever begun (the skip is what the span's absence measures).
@@ -367,7 +367,7 @@ class LinkManager:
         self._resumable: Set[str] = set()
         self._obs_zero_rtt = (
             self.obs.counter("join.zero_rtt_resumes")
-            if world.transport.zero_rtt
+            if world.stack.transport.zero_rtt
             else None
         )
         self.on_link_up = on_link_up

@@ -7,11 +7,12 @@ are structured data with a ``render()`` method that prints the same
 rows/series the paper reports, plus the summary lines that check the
 paper's claims; specs carry the shared vocabulary (seeds, duration, town,
 workers, transport, contention) so the benchmark harness and the CLI can
-trade accuracy for time uniformly.  Experiments that tabulate a shared set
-of drives (the Table 2 configuration suite, the join-timeout grid) expose
-that step as a classmethod on their result, e.g.
-``Table2Result.from_suite(suite)``, so one set of drives can feed several
-artifacts.
+trade accuracy for time uniformly, and a spec's ``stack`` hands its
+transport and contention choice to every world as one value.
+Experiments that tabulate a shared set of drives (the Table 2
+configuration suite, the join-timeout grid) expose that step as a
+classmethod on their result, e.g. ``Table2Result.from_suite(suite)``, so
+one set of drives can feed several artifacts.
 
 Importing this package registers every experiment in
 :data:`repro.experiments.api.REGISTRY` (registration happens at module

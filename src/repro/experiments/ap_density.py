@@ -13,15 +13,14 @@ Two observations to reproduce:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from ..analysis.reporting import format_table
 from ..core.schedule import OperationMode
 from ..core.link_manager import SpiderConfig
 from ..core.spider import SpiderClient
-from ..sim.cc import TransportSpec
-from ..sim.contention import ContentionSpec
 from ..sim.engine import PeriodicProcess, Simulator
+from ..sim.world import StackSpec
 from ..workloads.town import build_town
 from .api import ExperimentSpec, register
 
@@ -69,11 +68,10 @@ def _run_one(
     seed: int,
     duration_s: float,
     channel: int = 1,
-    transport: Optional[TransportSpec] = None,
-    contention: Optional[ContentionSpec] = None,
+    stack: StackSpec = StackSpec(),
 ) -> DensityRow:
     sim = Simulator(seed=seed)
-    instance = build_town(sim, preset=town, transport=transport, contention=contention)
+    instance = build_town(sim, preset=town, stack=stack)
     mobility = instance.make_vehicle_mobility(10.0)
     config = SpiderConfig.spider_defaults(
         OperationMode.single_channel(channel), num_interfaces=7
@@ -112,13 +110,7 @@ def run_spec(spec: DensitySpec) -> DensityResult:
     rows = []
     for town in spec.towns:
         per_seed = [
-            _run_one(
-                town,
-                seed,
-                spec.duration_s,
-                transport=spec.transport,
-                contention=spec.contention,
-            )
+            _run_one(town, seed, spec.duration_s, stack=spec.stack)
             for seed in spec.seeds
         ]
         merged_share: Dict[int, float] = {}

@@ -6,9 +6,11 @@ trial to one whole experiment:
 
 * :class:`ExperimentSpec` is the frozen, picklable base spec carrying the
   vocabulary shared by (almost) every experiment — ``seeds``,
-  ``duration_s``, ``town``, and the :mod:`repro.runner` knobs ``workers``
-  / ``timeout_s`` / ``retries``.  Each module subclasses it with its own
-  extras (fractions, labels, fleet sizes, ...) and may override defaults.
+  ``duration_s``, ``town``, the :mod:`repro.runner` knobs ``workers``
+  / ``timeout_s`` / ``retries``, and the ``transport`` / ``contention``
+  choices that its :attr:`~ExperimentSpec.stack` hands every world.
+  Each module subclasses it with its own extras (fractions, labels,
+  fleet sizes, ...) and may override defaults.
   Analytic experiments (fig3, fig4) simply ignore the fields that have no
   meaning for them; the shared CLI can still address every experiment with
   one flag vocabulary.
@@ -31,6 +33,7 @@ from typing import Any, Callable, Dict, List, Optional, Tuple, Type
 from ..runner import TrialResult
 from ..sim.cc import TransportSpec
 from ..sim.contention import ContentionSpec
+from ..sim.world import StackSpec
 from .common import DEFAULT_TRIAL_DURATION_S
 
 __all__ = [
@@ -79,17 +82,15 @@ class ExperimentSpec:
     cache: Optional[bool] = None
     #: Cache directory (``None``: ``REPRO_CACHE_DIR`` or ``.repro_cache``).
     cache_dir: Optional[str] = None
-    #: Transport selection (congestion controller + split-TCP proxying)
-    #: for every trial the experiment spawns.  ``None`` keeps the
-    #: historical Reno / no-split behaviour byte-identical; the CLI fills
-    #: it from ``--cc``/``--split`` (or ``REPRO_CC``/``REPRO_SPLIT``) via
-    #: :func:`repro.sim.cc.resolve_transport`.
+    #: Transport selection (congestion controller, split-TCP proxying and
+    #: the TCP knobs) for every flow the experiment's worlds carry.
+    #: ``None`` is the default Reno / no-split transport; the CLI fills it
+    #: from ``--cc``/``--split`` via :func:`repro.sim.cc.resolve_transport`.
     transport: Optional[TransportSpec] = None
     #: Contention selection (CSMA/CA multi-cell MAC with per-cell spatial
     #: airtime reuse + optional beacon stagger) for every world the
-    #: experiment builds.  ``None`` keeps the historical global
-    #: per-channel airtime FIFO byte-identical; the CLI fills it from
-    #: ``--contention`` (or ``REPRO_CONTENTION``) via
+    #: experiment builds.  ``None`` is the global per-channel airtime
+    #: FIFO; the CLI fills it from ``--contention`` via
     #: :func:`repro.sim.contention.resolve_contention`.
     contention: Optional[ContentionSpec] = None
 
@@ -97,6 +98,23 @@ class ExperimentSpec:
     def seed(self) -> int:
         """First seed — for experiments that consume a single seed."""
         return self.seeds[0] if self.seeds else 0
+
+    @property
+    def stack(self) -> StackSpec:
+        """The world stack every trial runs on.
+
+        Each :class:`~repro.sim.world.StackSpec` field is read from the
+        spec field of the same name (``transport``, ``contention``); this
+        is the one place where an unset (``None``) choice becomes the
+        stack's default.
+        """
+        return StackSpec(
+            **{
+                f.name: value
+                for f in fields(StackSpec)
+                if (value := getattr(self, f.name)) is not None
+            }
+        )
 
 
 @dataclass(frozen=True)

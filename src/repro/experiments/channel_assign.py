@@ -281,19 +281,14 @@ def run_assign_trial(
     spec: ChannelAssignSpec, strategy: str, policy: str, seed: int
 ) -> ChannelAssignRow:
     """One fleet drive on one (strategy, policy) cell — picklable."""
-    contention = spec.contention
-    if contention is None or not contention.enabled:
+    stack = spec.stack
+    if not stack.contention.enabled:
         raise ValueError(
             "channel-assign requires the contention model: under the global "
             "per-channel FIFO every channel map serializes identically"
         )
     sim = Simulator(seed=seed)
-    town = build_town(
-        sim,
-        config=spec.town_config(),
-        transport=spec.transport,
-        contention=contention,
-    )
+    town = build_town(sim, config=spec.town_config(), stack=stack)
     channel_map = apply_strategy(town, strategy, spec.channels)
     mode = _policy_mode(policy, spec.channels)
     spacing = town.config.loop_length_m / max(spec.n_vehicles, 1)

@@ -10,10 +10,13 @@ Trials are independent — each builds its own :class:`Simulator` from its
 seed — so :func:`run_town_trials` and the suite-level helpers fan them out
 across worker processes via :mod:`repro.runner`.  A trial's outcome is a
 pure function of its :class:`TownTrialSpec`, which is what makes the
-parallel path bit-identical to the serial one.  Factories passed to the
-parallel path must be picklable (module-level functions or dataclass
-callables, as in :mod:`repro.experiments.town_runs`); unpicklable ad-hoc
-factories silently fall back to serial execution.
+parallel path bit-identical to the serial one.  The spec's world stack
+(transport and contention) is one :class:`~repro.sim.world.StackSpec`
+value, which every helper here takes as ``stack`` and hands to the town's
+:class:`World` unchanged.  Factories passed to the parallel path must be
+picklable (module-level functions or dataclass callables, as in
+:mod:`repro.experiments.town_runs`); unpicklable ad-hoc factories
+silently fall back to serial execution.
 """
 
 from __future__ import annotations
@@ -24,13 +27,11 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from ..obs.telemetry import Telemetry, TelemetrySnapshot, merge_snapshots
 from ..runner import TrialJob, TrialResult, run_jobs, unwrap_all
-from ..sim.cc import TransportSpec
-from ..sim.contention import ContentionSpec
 from ..sim.engine import Simulator
 from ..sim.faults import FaultPlan, install_faults
 from ..sim.metrics import JoinLog
 from ..sim.mobility import MobilityModel
-from ..sim.world import World
+from ..sim.world import StackSpec, World
 from ..workloads.town import TownConfig, build_town
 
 __all__ = [
@@ -90,10 +91,10 @@ def run_town_trial(
     speed_mps: float = DEFAULT_VEHICLE_SPEED_MPS,
     faults: Optional[FaultPlan] = None,
     telemetry: bool = False,
-    transport: Optional[TransportSpec] = None,
-    contention: Optional[ContentionSpec] = None,
+    stack: StackSpec = StackSpec(),
 ) -> TownRunMetrics:
-    """Build a town, drive one client around it, and collect metrics.
+    """Build a town on ``stack``, drive one client around it, and collect
+    metrics.
 
     ``faults`` installs a :class:`~repro.sim.faults.FaultPlan` against the
     town's infrastructure before the client starts; ``None`` (or an empty
@@ -104,28 +105,13 @@ def run_town_trial(
     the simulator and returns its snapshot on the metrics object.
     Telemetry neither schedules events nor consumes RNG, so the metric
     fields are bit-identical with it on or off.
-
-    ``transport`` selects the world-wide congestion controller and AP
-    connection-splitting (``None`` keeps the historical Reno/no-split
-    default, byte-identical to runs predating the transport subsystem).
-
-    ``contention`` selects the CSMA/CA multi-cell MAC (``None`` keeps the
-    historical global per-channel airtime FIFO, byte-identical to runs
-    predating the contention subsystem).
     """
     tele = Telemetry(enabled=True, key=("town", label, seed)) if telemetry else None
     sim = Simulator(seed=seed, telemetry=tele)
     if isinstance(town, TownConfig):
-        instance = build_town(
-            sim, config=town, transport=transport, contention=contention
-        )
+        instance = build_town(sim, config=town, stack=stack)
     else:
-        instance = build_town(
-            sim,
-            preset=town or "amherst",
-            transport=transport,
-            contention=contention,
-        )
+        instance = build_town(sim, preset=town or "amherst", stack=stack)
     mobility = instance.make_vehicle_mobility(speed_mps)
     install_faults(sim, instance.world, faults)
     client = factory(sim, instance.world, mobility)
@@ -228,14 +214,8 @@ class TownTrialSpec:
     speed_mps: float = DEFAULT_VEHICLE_SPEED_MPS
     faults: Optional[FaultPlan] = None
     telemetry: bool = False
-    #: ``None`` (the default) leaves the world on its historical Reno /
-    #: no-split transport, producing results byte-identical to specs that
-    #: predate the field.
-    transport: Optional[TransportSpec] = None
-    #: ``None`` (the default) keeps the historical global per-channel
-    #: airtime FIFO; a :class:`~repro.sim.contention.ContentionSpec`
-    #: switches the trial's medium to the CSMA/CA multi-cell MAC.
-    contention: Optional[ContentionSpec] = None
+    #: The world's transport and contention model.
+    stack: StackSpec = StackSpec()
 
 
 def run_town_trial_spec(spec: TownTrialSpec) -> TownRunMetrics:
@@ -249,8 +229,7 @@ def run_town_trial_spec(spec: TownTrialSpec) -> TownRunMetrics:
         speed_mps=spec.speed_mps,
         faults=spec.faults,
         telemetry=spec.telemetry,
-        transport=spec.transport,
-        contention=spec.contention,
+        stack=spec.stack,
     )
 
 
@@ -261,8 +240,7 @@ def run_town_trial_envelopes(
     retries: Optional[int] = None,
     telemetry: Optional[bool] = None,
     cache: Optional[object] = None,
-    transport: Optional[TransportSpec] = None,
-    contention: Optional[ContentionSpec] = None,
+    stack: Optional[StackSpec] = None,
 ) -> List[TrialResult]:
     """Fan trial specs across workers; envelopes in spec order.
 
@@ -275,24 +253,19 @@ def run_town_trial_envelopes(
     ``telemetry`` (non-``None``) overrides every spec's ``telemetry``
     field, which is how experiments thread the shared
     ``ExperimentSpec.telemetry`` flag through an existing grid without
-    each module rebuilding its specs.  ``transport`` (non-``None``)
-    overrides every spec's ``transport`` the same way — the path behind
-    the shared ``--cc``/``--split`` CLI flags — and ``contention``
-    (non-``None``) overrides every spec's ``contention`` (the
-    ``--contention`` flag's path).
+    each module rebuilding its specs.  ``stack`` (non-``None``)
+    overrides every spec's ``stack`` the same way.
 
     ``cache`` resolves via :func:`repro.cache.resolve_cache`; because a
     trial spec is frozen and picklable, its content address covers the
-    factory, seed, duration, town, fault plan, and telemetry flag, so an
+    factory, seed, duration, town, fault plan, telemetry flag and stack, so an
     already-computed trial — snapshot included — is replayed from the
     cache instead of re-simulated.
     """
     if telemetry is not None:
         specs = [replace(spec, telemetry=telemetry) for spec in specs]
-    if transport is not None:
-        specs = [replace(spec, transport=transport) for spec in specs]
-    if contention is not None:
-        specs = [replace(spec, contention=contention) for spec in specs]
+    if stack is not None:
+        specs = [replace(spec, stack=stack) for spec in specs]
     jobs = [
         TrialJob(run_town_trial_spec, (spec,), tag=(spec.label, spec.seed))
         for spec in specs
@@ -344,8 +317,7 @@ def aggregate_town_trials(
     strict: bool = False,
     telemetry: Optional[bool] = None,
     cache: Optional[object] = None,
-    transport: Optional[TransportSpec] = None,
-    contention: Optional[ContentionSpec] = None,
+    stack: Optional[StackSpec] = None,
 ) -> Dict[str, AggregatedMetrics]:
     """Fan specs out and regroup the results per label, in spec order.
 
@@ -365,8 +337,7 @@ def aggregate_town_trials(
             retries=retries,
             telemetry=telemetry,
             cache=cache,
-            transport=transport,
-            contention=contention,
+            stack=stack,
         )
     if strict:
         pairs = list(zip(specs, unwrap_all(envelopes)))
@@ -389,8 +360,7 @@ def run_town_trials(
     speed_mps: float = DEFAULT_VEHICLE_SPEED_MPS,
     workers: Optional[int] = None,
     telemetry: bool = False,
-    transport: Optional[TransportSpec] = None,
-    contention: Optional[ContentionSpec] = None,
+    stack: StackSpec = StackSpec(),
 ) -> AggregatedMetrics:
     """Repeat :func:`run_town_trial` over seeds and aggregate.
 
@@ -408,8 +378,7 @@ def run_town_trials(
             town=town,
             speed_mps=speed_mps,
             telemetry=telemetry,
-            transport=transport,
-            contention=contention,
+            stack=stack,
         )
         for seed in seeds
     ]

@@ -181,12 +181,7 @@ def run_dense_trial(
         else None
     )
     sim = Simulator(seed=seed, telemetry=tele)
-    town = build_town(
-        sim,
-        config=spec.town_config(),
-        transport=spec.transport,
-        contention=spec.contention,
-    )
+    town = build_town(sim, config=spec.town_config(), stack=spec.stack)
     spacing = town.config.loop_length_m / max(spec.n_vehicles, 1)
     clients = []
     mode = (

@@ -242,8 +242,7 @@ def run_spec(spec: FaultSweepSpec) -> FaultSweepResult:
             duration_s=spec.duration_s,
             town=spec.town,
             faults=plan,
-            transport=spec.transport,
-            contention=spec.contention,
+            stack=spec.stack,
         )
         for scenario, client_label, factory, plan in grid
         for seed in spec.seeds

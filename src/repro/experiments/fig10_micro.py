@@ -16,16 +16,15 @@ overhead, with the faster schedule winning at high backhaul bandwidth.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from ..analysis.reporting import format_table
 from ..core.link_manager import SpiderConfig
 from ..core.schedule import OperationMode
 from ..core.spider import SpiderClient
-from ..sim.cc import TransportSpec
-from ..sim.contention import ContentionSpec
 from ..sim.engine import Simulator
 from ..sim.stock_client import StockClient
+from ..sim.world import StackSpec
 from ..workloads.town import lab_topology
 from .api import ExperimentSpec, register
 from .fig7_tcp_fraction import LAB_WIRED_LATENCY_S
@@ -50,8 +49,7 @@ def _measure(
     label: str,
     seed: int,
     measure_s: float,
-    transport: Optional[TransportSpec] = None,
-    contention: Optional[ContentionSpec] = None,
+    stack: StackSpec = StackSpec(),
 ) -> float:
     """Mean aggregate throughput (bytes/s) for one configuration."""
     sim = Simulator(seed=seed)
@@ -66,8 +64,7 @@ def _measure(
         dhcp_delay_s=0.2,
         wired_latency_s=LAB_WIRED_LATENCY_S,
         data_rate_bps=24e6,
-        transport=transport,
-        contention=contention,
+        stack=stack,
     )
     recorders = []
     clients: List[object] = []
@@ -137,14 +134,7 @@ def run_spec(spec: Fig10Spec) -> Fig10Result:
     for backhaul in spec.backhauls_mbps:
         for label in spec.labels:
             values = [
-                _measure(
-                    backhaul * 1e6,
-                    label,
-                    seed,
-                    spec.measure_s,
-                    transport=spec.transport,
-                    contention=spec.contention,
-                )
+                _measure(backhaul * 1e6, label, seed, spec.measure_s, spec.stack)
                 for seed in spec.seeds
             ]
             series[label].append(sum(values) / len(values) / 1e3)

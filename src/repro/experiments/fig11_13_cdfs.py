@@ -109,7 +109,6 @@ def run_spec(spec: Fig11to13Spec) -> Fig11to13Result:
         include_cambridge=False,
         labels=spec.labels,
         workers=spec.workers,
-        transport=spec.transport,
-        contention=spec.contention,
+        stack=spec.stack,
     )
     return Fig11to13Result.from_suite(suite, spec.labels)

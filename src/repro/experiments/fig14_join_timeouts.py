@@ -76,7 +76,6 @@ def run_spec(spec: Fig14Spec) -> Fig14Result:
         seeds=spec.seeds,
         duration_s=spec.duration_s,
         workers=spec.workers,
-        transport=spec.transport,
-        contention=spec.contention,
+        stack=spec.stack,
     )
     return Fig14Result.from_grid(grid, spec.labels)

@@ -87,7 +87,6 @@ def run_spec(spec: Fig15Spec) -> Fig15Result:
         seeds=spec.seeds,
         duration_s=spec.duration_s,
         workers=spec.workers,
-        transport=spec.transport,
-        contention=spec.contention,
+        stack=spec.stack,
     )
     return Fig15Result.from_grid(grid, spec.labels)

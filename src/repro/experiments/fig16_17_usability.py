@@ -116,7 +116,6 @@ def run_spec(spec: UsabilitySpec) -> UsabilityResult:
         include_cambridge=False,
         labels=SUPPLY_LABELS,
         workers=spec.workers,
-        transport=spec.transport,
-        contention=spec.contention,
+        stack=spec.stack,
     )
     return UsabilityResult.from_suite(suite, spec.mesh_seed)

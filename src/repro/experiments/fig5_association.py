@@ -131,8 +131,7 @@ def run_spec(spec: Fig5Spec) -> Fig5Result:
             duration_s=spec.duration_s,
             town=spec.town,
             workers=spec.workers,
-            transport=spec.transport,
-            contention=spec.contention,
+            stack=spec.stack,
         )
         times: List[float] = []
         attempts = 0

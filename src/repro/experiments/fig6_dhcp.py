@@ -125,8 +125,7 @@ def run_spec(spec: Fig6Spec) -> Fig6Result:
             duration_s=spec.duration_s,
             town=spec.town,
             workers=spec.workers,
-            transport=spec.transport,
-            contention=spec.contention,
+            stack=spec.stack,
         )
         times: List[float] = []
         attempts = 0

@@ -18,6 +18,7 @@ from ..core.link_manager import SpiderConfig
 from ..core.schedule import OperationMode
 from ..core.spider import SpiderClient
 from ..sim.engine import Simulator
+from ..sim.world import StackSpec
 from ..workloads.town import lab_topology
 from .api import ExperimentSpec, register
 from .fig5_association import schedule_for_fraction
@@ -45,8 +46,7 @@ def measure_lab_throughput(
     loss_rate: float = 0.02,
     num_aps: int = 1,
     wired_latency_s: float = LAB_WIRED_LATENCY_S,
-    transport=None,
-    contention=None,
+    stack: StackSpec = StackSpec(),
 ) -> float:
     """Average TCP throughput (bits/s) of a static Spider client.
 
@@ -60,8 +60,7 @@ def measure_lab_throughput(
         loss_rate=loss_rate,
         dhcp_delay_s=0.2,
         wired_latency_s=wired_latency_s,
-        transport=transport,
-        contention=contention,
+        stack=stack,
     )
     # The paper's indoor protocol measures an *established* connection under
     # the varied schedule: join on the primary channel first, then apply the
@@ -120,8 +119,7 @@ def run_spec(spec: Fig7Spec) -> Fig7Result:
             backhaul_bps=spec.backhaul_bps,
             seed=spec.seed,
             measure_s=spec.measure_s,
-            transport=spec.transport,
-            contention=spec.contention,
+            stack=spec.stack,
         )
         throughputs.append(bps / 1e3)
     return Fig7Result(fractions=list(spec.fractions), throughput_kbps=throughputs)

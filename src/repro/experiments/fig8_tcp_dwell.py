@@ -73,8 +73,7 @@ def run_spec(spec: Fig8Spec) -> Fig8Result:
             seed=spec.seed,
             measure_s=spec.measure_s,
             primary_channel=PRIMARY_CHANNEL,
-            transport=spec.transport,
-            contention=spec.contention,
+            stack=spec.stack,
         )
         throughputs.append(bps / 1e3)
     return Fig8Result(dwell_ms=list(spec.dwells_ms), throughput_kbps=throughputs)

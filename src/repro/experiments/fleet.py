@@ -20,9 +20,8 @@ from ..core.schedule import OperationMode
 from ..core.spider import SpiderClient
 from ..obs.telemetry import Telemetry, TelemetrySnapshot
 from ..runner import ShardedJob, TrialJob, run_jobs, run_sharded
-from ..sim.cc import TransportSpec
-from ..sim.contention import ContentionSpec
 from ..sim.engine import Simulator
+from ..sim.world import StackSpec
 from ..workloads.town import build_town
 from .api import ExperimentSpec, register
 
@@ -90,8 +89,7 @@ def _vehicle_stats(
     duration_s: float,
     town_preset: str,
     telemetry: bool = False,
-    transport: Optional[TransportSpec] = None,
-    contention: Optional[ContentionSpec] = None,
+    stack: StackSpec = StackSpec(),
 ) -> List[Tuple]:
     """Drive the full ``n_vehicles`` fleet, extract stats for a subset.
 
@@ -115,7 +113,7 @@ def _vehicle_stats(
         else None
     )
     sim = Simulator(seed=seed, telemetry=tele)
-    town = build_town(sim, preset=town_preset, transport=transport, contention=contention)
+    town = build_town(sim, preset=town_preset, stack=stack)
     spacing = town.config.loop_length_m / max(n_vehicles, 1)
     clients = []
     for index in range(n_vehicles):
@@ -174,14 +172,13 @@ def _run_fleet(
     duration_s: float,
     town_preset: str,
     telemetry: bool = False,
-    transport: Optional[TransportSpec] = None,
-    contention: Optional[ContentionSpec] = None,
+    stack: StackSpec = StackSpec(),
 ) -> FleetRow:
     return _row_from_stats(
         n_vehicles,
         _vehicle_stats(
             range(n_vehicles), n_vehicles, seed, duration_s, town_preset,
-            telemetry, transport, contention,
+            telemetry, stack,
         ),
     )
 
@@ -195,8 +192,7 @@ def run_sharded_trial(
     timeout_s: Optional[float] = None,
     retries: Optional[int] = None,
     telemetry: bool = False,
-    transport: Optional[TransportSpec] = None,
-    contention: Optional[ContentionSpec] = None,
+    stack: StackSpec = StackSpec(),
 ) -> FleetRow:
     """One fleet trial with its vehicles sharded across worker processes.
 
@@ -213,10 +209,7 @@ def run_sharded_trial(
     job = ShardedJob(
         fn=_vehicle_stats,
         items=tuple(range(n_vehicles)),
-        args=(
-            n_vehicles, seed, duration_s, town_preset, telemetry, transport,
-            contention,
-        ),
+        args=(n_vehicles, seed, duration_s, town_preset, telemetry, stack),
         tag=("fleet", n_vehicles, seed),
     )
     envelope = run_sharded(
@@ -244,7 +237,7 @@ def run_spec(spec: FleetSpec) -> FleetResult:
             _run_fleet,
             (
                 size, seed, spec.duration_s, spec.town, spec.telemetry,
-                spec.transport, spec.contention,
+                spec.stack,
             ),
             tag=(size, seed),
         )

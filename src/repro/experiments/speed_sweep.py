@@ -98,10 +98,7 @@ def run_spec(spec: SpeedSweepSpec) -> SpeedSweepResult:
         for seed in spec.seeds
     ]
     per_label = aggregate_town_trials(
-        specs,
-        workers=spec.workers,
-        transport=spec.transport,
-        contention=spec.contention,
+        specs, workers=spec.workers, stack=spec.stack
     )
     series: Dict[str, List[Tuple[float, float]]] = {name: [] for name in POLICIES}
     for speed, name, _mode in grid:

@@ -10,15 +10,14 @@ from __future__ import annotations
 
 import statistics
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
 from ..analysis.reporting import format_table
 from ..core.link_manager import SpiderConfig
 from ..core.schedule import OperationMode
 from ..core.spider import SpiderClient
-from ..sim.cc import TransportSpec
-from ..sim.contention import ContentionSpec
 from ..sim.engine import Simulator
+from ..sim.world import StackSpec
 from ..workloads.town import lab_topology
 from .api import ExperimentSpec, register
 
@@ -38,8 +37,7 @@ def measure_switch_latencies(
     num_interfaces: int,
     switches: int = 40,
     seed: int = 0,
-    transport: Optional[TransportSpec] = None,
-    contention: Optional[ContentionSpec] = None,
+    stack: StackSpec = StackSpec(),
 ) -> List[float]:
     """Join ``num_interfaces`` APs on one channel, then toggle channels.
 
@@ -49,12 +47,7 @@ def measure_switch_latencies(
     sim = Simulator(seed=seed)
     specs = [(HOME_CHANNEL, 2.0e6)] * max(num_interfaces, 1)
     world, _, mobility = lab_topology(
-        sim,
-        specs,
-        loss_rate=0.0,
-        dhcp_delay_s=0.1,
-        transport=transport,
-        contention=contention,
+        sim, specs, loss_rate=0.0, dhcp_delay_s=0.1, stack=stack
     )
     config = SpiderConfig.spider_defaults(
         OperationMode.single_channel(HOME_CHANNEL),
@@ -125,8 +118,7 @@ def run_spec(spec: Table1Spec) -> Table1Result:
             count,
             switches=spec.switches,
             seed=spec.seed,
-            transport=spec.transport,
-            contention=spec.contention,
+            stack=spec.stack,
         )
         mean_ms = 1e3 * statistics.mean(latencies)
         std_ms = 1e3 * (statistics.stdev(latencies) if len(latencies) > 1 else 0.0)

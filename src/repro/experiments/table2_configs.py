@@ -158,7 +158,6 @@ def run_spec(spec: Table2Spec) -> Table2Result:
             include_cambridge=spec.include_cambridge,
             workers=spec.workers,
             telemetry=spec.telemetry or None,
-            transport=spec.transport,
-            contention=spec.contention,
+            stack=spec.stack,
         )
     )

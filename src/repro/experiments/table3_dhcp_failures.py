@@ -120,7 +120,6 @@ def run_spec(spec: Table3Spec) -> Table3Result:
         seeds=spec.seeds,
         duration_s=spec.duration_s,
         workers=spec.workers,
-        transport=spec.transport,
-        contention=spec.contention,
+        stack=spec.stack,
     )
     return Table3Result.from_grid(grid, spec.labels)

@@ -102,8 +102,7 @@ def run_spec(spec: Table4Spec) -> Table4Result:
             seeds=spec.seeds,
             duration_s=spec.duration_s,
             workers=spec.workers,
-            transport=spec.transport,
-            contention=spec.contention,
+            stack=spec.stack,
         )
         rows.append(
             Table4Row(

@@ -15,8 +15,7 @@ from typing import Dict, Optional, Sequence
 from ..core.link_manager import SpiderConfig
 from ..core.schedule import OperationMode
 from ..core.spider import ORTHOGONAL_CHANNELS, SpiderClient
-from ..sim.cc import TransportSpec
-from ..sim.contention import ContentionSpec
+from ..sim.world import StackSpec
 from .common import AggregatedMetrics, TownTrialSpec, aggregate_town_trials
 
 __all__ = ["TimeoutConfig", "run_grid", "STANDARD_GRID"]
@@ -104,8 +103,7 @@ def run_grid(
     duration_s: float = 300.0,
     town: str = "amherst",
     workers: Optional[int] = None,
-    transport: Optional[TransportSpec] = None,
-    contention: Optional[ContentionSpec] = None,
+    stack: StackSpec = StackSpec(),
 ) -> Dict[str, AggregatedMetrics]:
     """Run the selected grid cells and return join-log aggregates.
 
@@ -121,8 +119,7 @@ def run_grid(
             seed=seed,
             duration_s=duration_s,
             town=town,
-            transport=transport,
-            contention=contention,
+            stack=stack,
         )
         for label in selected
         for seed in seeds

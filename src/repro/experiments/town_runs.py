@@ -15,12 +15,10 @@ from typing import Dict, List, Optional, Sequence
 from ..core.link_manager import SpiderConfig
 from ..core.schedule import OperationMode
 from ..core.spider import ORTHOGONAL_CHANNELS, SpiderClient
-from ..sim.cc import TransportSpec
-from ..sim.contention import ContentionSpec
 from ..sim.engine import Simulator
 from ..sim.mobility import MobilityModel
 from ..sim.stock_client import StockClient
-from ..sim.world import World
+from ..sim.world import StackSpec, World
 from .common import (
     AggregatedMetrics,
     ClientFactory,
@@ -165,8 +163,7 @@ def run_configuration_suite(
     labels: Optional[Sequence[str]] = None,
     workers: Optional[int] = None,
     telemetry: Optional[bool] = None,
-    transport: Optional[TransportSpec] = None,
-    contention: Optional[ContentionSpec] = None,
+    stack: StackSpec = StackSpec(),
 ) -> ConfigurationSuite:
     """Run the whole configuration grid (the expensive shared step).
 
@@ -201,10 +198,6 @@ def run_configuration_suite(
         for seed in seeds
     ]
     results = aggregate_town_trials(
-        specs,
-        workers=workers,
-        telemetry=telemetry,
-        transport=transport,
-        contention=contention,
+        specs, workers=workers, telemetry=telemetry, stack=stack
     )
     return ConfigurationSuite(results=results, duration_s=duration_s, seeds=seeds)

@@ -12,19 +12,21 @@ connection confines that damage to the last hop; a rate-based controller
 (BBR-lite) shrugs it off; 0-RTT resumption instead attacks the join
 pipeline so each encounter starts carrying data sooner.
 
-The full ``policy × cc × split × seed`` grid flattens into one trial
-batch, so it fans out through :mod:`repro.runner` (and any active cache
-or sweep fabric) exactly like every other experiment.
+Each cell runs on the spec's stack with only ``cc`` and ``split``
+replaced, so every other TCP field and the contention choice still come
+from the spec.  The full ``policy × cc × split × seed`` grid flattens
+into one trial batch, so it fans out through :mod:`repro.runner` (and
+any active cache or sweep fabric) exactly like every other experiment.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import List, Tuple
 
 from ..analysis.ascii_plot import heatmap
 from ..analysis.reporting import format_table
-from ..sim.cc import CC_NAMES, TransportSpec
+from ..sim.cc import CC_NAMES
 from .api import ExperimentSpec, register
 from .common import AggregatedMetrics, TownTrialSpec, aggregate_town_trials
 from .town_runs import (
@@ -161,8 +163,7 @@ def run_spec(spec: TransportMatrixSpec) -> TransportMatrixResult:
         for cc in spec.ccs
         for split in spec.splits
     ]
-    # Each cell sets its own transport: the matrix's cc x split axes are
-    # what this experiment varies, so ``spec.transport`` does not apply.
+    stack = spec.stack
     specs = [
         TownTrialSpec(
             factory=factories[policy],
@@ -170,16 +171,15 @@ def run_spec(spec: TransportMatrixSpec) -> TransportMatrixResult:
             seed=seed,
             duration_s=spec.duration_s,
             town=spec.town,
-            transport=TransportSpec(cc=cc, split=split),
+            stack=replace(
+                stack, transport=replace(stack.transport, cc=cc, split=split)
+            ),
         )
         for policy, cc, split in grid
         for seed in spec.seeds
     ]
     per_label = aggregate_town_trials(
-        specs,
-        workers=spec.workers,
-        telemetry=spec.telemetry or None,
-        contention=spec.contention,
+        specs, workers=spec.workers, telemetry=spec.telemetry or None
     )
     cells = []
     for policy, cc, split in grid:

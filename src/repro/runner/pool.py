@@ -55,6 +55,7 @@ the submitting process, so worker children never touch the cache.
 
 from __future__ import annotations
 
+import math
 import os
 import pickle
 import time
@@ -204,8 +205,9 @@ def resolve_workers(workers: Optional[int] = None) -> int:
 def resolve_trial_timeout(timeout_s: Optional[float] = None) -> Optional[float]:
     """Per-trial timeout in seconds, or ``None`` when disabled.
 
-    ``None`` defers to ``REPRO_TRIAL_TIMEOUT``; ``0`` (explicit or in the
-    environment) disables the timeout.  Garbage values warn and disable.
+    ``None`` defers to ``REPRO_TRIAL_TIMEOUT``; ``0`` and ``inf``
+    (explicit or in the environment) disable the timeout.  Garbage values
+    (non-numeric, negative, NaN) warn and disable.
     """
     if timeout_s is None:
         env = os.environ.get(TIMEOUT_ENV, "").strip()
@@ -216,10 +218,10 @@ def resolve_trial_timeout(timeout_s: Optional[float] = None) -> Optional[float]:
         except ValueError:
             warnings.warn(f"ignoring non-numeric {TIMEOUT_ENV}={env!r}")
             return None
-    if timeout_s < 0:
-        warnings.warn(f"ignoring negative trial timeout {timeout_s!r}")
+    if not timeout_s >= 0:  # also catches NaN
+        warnings.warn(f"ignoring negative or NaN trial timeout {timeout_s!r}")
         return None
-    if timeout_s == 0:
+    if timeout_s in (0, math.inf):
         return None
     return float(timeout_s)
 

@@ -36,7 +36,7 @@ from .cc import (
     resolve_transport,
 )
 from .tcp import TcpParams, TcpReceiver, TcpSender
-from .world import ServerHost, World
+from .world import ServerHost, StackSpec, World
 from .faults import (
     ApFlap,
     ApOutage,
@@ -98,6 +98,7 @@ __all__ = [
     "TcpReceiver",
     "TcpSender",
     "ServerHost",
+    "StackSpec",
     "World",
     "ApFlap",
     "ApOutage",

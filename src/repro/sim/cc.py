@@ -32,7 +32,6 @@ compatibility) so the sender module can depend on this one without cycles.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, fields
 from typing import Callable, Deque, Dict, Optional, Tuple
 
@@ -292,7 +291,7 @@ class QuicZeroRttCC(RenoCC):
     zero_rtt_resume = True
 
 
-#: Registry of selectable controllers, keyed by CLI/env name.
+#: Registry of selectable controllers, keyed by CLI name.
 _CC_REGISTRY: Dict[str, Callable[[Optional[TcpParams]], CongestionController]] = {
     RenoCC.name: RenoCC,
     CubicCC.name: CubicCC,
@@ -325,8 +324,9 @@ class TransportSpec:
 
     Folds the :class:`TcpParams` numeric knobs together with the two new
     selections — congestion controller and AP connection-splitting — into
-    one value that rides ``ExperimentSpec``/``TownTrialSpec`` envelopes and
-    hashes cleanly into the trial cache's canonical token.  The default
+    one value that rides ``ExperimentSpec`` and, inside a
+    :class:`~repro.sim.world.StackSpec`, every trial spec, and hashes
+    cleanly into the trial cache's canonical token.  The default
     instance reproduces the historical behavior exactly (Reno, no split).
     """
 
@@ -363,25 +363,15 @@ class TransportSpec:
         return bool(getattr(_CC_REGISTRY[self.cc], "zero_rtt_resume", False))
 
 
-_FALSEY = ("", "0", "false", "no", "off")
-
-
 def resolve_transport(
     cc: Optional[str] = None, split: Optional[bool] = None
 ) -> Optional[TransportSpec]:
-    """Resolve CLI/env transport selection into a spec, or None.
+    """Resolve the ``--cc``/``--split`` flags into a spec, or None.
 
-    ``cc``/``split`` (CLI flags) win over the ``REPRO_CC`` / ``REPRO_SPLIT``
-    environment knobs.  Returns ``None`` when nothing was requested so the
-    default (Reno, no split, spec unset) produces results byte-identical
-    to runs that predate this subsystem.
+    Returns ``None`` when nothing was requested so the default (Reno, no
+    split, spec unset) produces results byte-identical to runs that
+    predate this subsystem.
     """
-    if cc is None:
-        cc = os.environ.get("REPRO_CC") or None
-    if split is None:
-        env = os.environ.get("REPRO_SPLIT")
-        if env is not None:
-            split = env.strip().lower() not in _FALSEY
     if cc is None and split is None:
         return None
     return TransportSpec(cc=cc or "reno", split=bool(split))

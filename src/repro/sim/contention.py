@@ -59,7 +59,6 @@ so default runs consume randomness exactly as before.
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass
 from time import perf_counter
 from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
@@ -72,15 +71,9 @@ __all__ = [
     "ContentionSpec",
     "ContentionState",
     "resolve_contention",
-    "CONTENTION_ENV",
     "DEFAULT_SLOT_TIME_S",
     "DEFAULT_DIFS_S",
 ]
-
-#: Environment variable behind the ``--contention`` CLI flag
-#: (``off``/``on``/``on,stagger``/``off,stagger``; see
-#: :func:`resolve_contention`).
-CONTENTION_ENV = "REPRO_CONTENTION"
 
 #: 802.11b slot time (long preamble), seconds.
 DEFAULT_SLOT_TIME_S = 20e-6
@@ -101,9 +94,10 @@ _PRUNE_MIN = 16
 class ContentionSpec:
     """Frozen, picklable contention configuration for a world.
 
-    Carried on ``ExperimentSpec``/``TownTrialSpec`` (hashing cleanly into
-    the trial cache's canonical token) and threaded down to the
-    :class:`~repro.sim.radio.Medium`.  ``enabled=False`` keeps the
+    Carried on ``ExperimentSpec`` and, inside a
+    :class:`~repro.sim.world.StackSpec`, down to the
+    :class:`~repro.sim.radio.Medium` (hashing cleanly into the trial
+    cache's canonical token).  ``enabled=False`` keeps the
     historical global-FIFO medium byte-identical to runs that predate the
     subsystem; ``beacon_stagger`` independently switches APs to per-BSSID
     seeded beacon phases (see :class:`~repro.sim.ap.AccessPoint`).
@@ -159,10 +153,9 @@ class ContentionSpec:
 
 
 def resolve_contention(mode: Optional[str] = None) -> Optional[ContentionSpec]:
-    """Resolve the CLI/env contention selection into a spec, or ``None``.
+    """Resolve the ``--contention`` flag into a spec, or ``None``.
 
-    ``mode`` (the ``--contention`` flag) wins over the ``REPRO_CONTENTION``
-    environment knob.  Accepted tokens (comma-separable): ``on``/``1``/
+    Accepted tokens (comma-separable): ``on``/``1``/
     ``true``/``yes``/``csma`` enable the CSMA/CA model, ``off``/``0``/
     ``false``/``no`` disable it, ``stagger`` additionally staggers beacon
     phases per AP.  ``stagger`` is a modifier, not a mode: it must be
@@ -172,11 +165,7 @@ def resolve_contention(mode: Optional[str] = None) -> Optional[ContentionSpec]:
     side effect.  Returns ``None`` when nothing was requested so the
     default path stays byte-identical to runs predating the subsystem.
     """
-    if mode is None:
-        mode = os.environ.get(CONTENTION_ENV)
-    if mode is None:
-        return None
-    text = mode.strip().lower()
+    text = (mode or "").strip().lower()
     if not text:
         return None
     enabled: Optional[bool] = None

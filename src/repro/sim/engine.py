@@ -211,7 +211,11 @@ class Simulator:
 
         The clock is advanced to ``until`` at the end of the run (when
         ``until`` is finite), so periodic processes observe a full window.
+        A NaN ``until`` is rejected: no event time compares past it, so
+        only the event budget could end the run.
         """
+        if until != until:
+            raise ValueError("run until NaN")
         if self._running:
             raise RuntimeError("simulator is already running (re-entrant run())")
         self._running = True

@@ -5,12 +5,15 @@ A :class:`World` owns the simulator, the wireless :class:`Medium`, every
 download flows and echoes end-to-end pings.  It installs itself as each
 AP's uplink handler and routes downlink traffic to the right AP by the
 client IP's subnet (each AP hands out addresses from its own subnet, the
-common open-AP deployment the paper measures).
+common open-AP deployment the paper measures).  Its :class:`StackSpec`
+is the world-wide stack choice: the TCP transport and the medium's
+contention model.
 """
 
 from __future__ import annotations
 
 import logging
+from dataclasses import dataclass
 from typing import Callable, Dict, Optional, Tuple
 
 from .ap import AccessPoint, SplitTcpProxy
@@ -21,7 +24,7 @@ from .frames import PING_FRAME_BYTES, FrameKind, TcpSegment
 from .radio import Medium
 from .tcp import TCP_HEADER_BYTES, TcpSender
 
-__all__ = ["ServerHost", "World"]
+__all__ = ["ServerHost", "StackSpec", "World"]
 
 logger = logging.getLogger(__name__)
 
@@ -29,6 +32,22 @@ logger = logging.getLogger(__name__)
 DEFAULT_WIRED_LATENCY_S = 0.01
 
 SERVER_IP = "192.0.2.1"
+
+
+@dataclass(frozen=True)
+class StackSpec:
+    """Frozen, picklable world stack: what every flow and frame runs on.
+
+    One value carries the choices an experiment makes for its whole
+    world — the flows' TCP (``transport``) and the medium's MAC
+    (``contention``) — from the experiment spec through every trial spec
+    and helper down to :class:`World`, and enters a trial's cache key as
+    one field.  The default is the historical stack: Reno without
+    splitting over the global per-channel airtime FIFO.
+    """
+
+    transport: TransportSpec = TransportSpec()
+    contention: ContentionSpec = ContentionSpec(enabled=False)
 
 
 class ServerHost:
@@ -52,7 +71,7 @@ class ServerHost:
         """Start a bulk download toward ``client_ip`` and return the sender.
 
         ``transport`` configures the flow's TCP — congestion controller,
-        splitting and every numeric knob; ``None`` uses the world's
+        splitting and every numeric knob; ``None`` uses the world stack's
         transport.  In split mode the flow is terminated by a
         :class:`~repro.sim.ap.SplitTcpProxy` at the client's AP, and
         ``on_complete`` keeps its end-to-end meaning (it fires when the
@@ -61,7 +80,7 @@ class ServerHost:
         if flow_id in self.flows:
             raise ValueError(f"duplicate flow id {flow_id!r}")
         if transport is None:
-            transport = self.world.transport
+            transport = self.world.stack.transport
 
         def transmit(segment: TcpSegment) -> None:
             """Hand a segment to the network."""
@@ -131,8 +150,7 @@ class World:
         range_m: float = 100.0,
         loss_rate: float = 0.1,
         wired_latency_s: float = DEFAULT_WIRED_LATENCY_S,
-        transport: Optional[TransportSpec] = None,
-        contention: Optional[ContentionSpec] = None,
+        stack: StackSpec = StackSpec(),
     ):
         self.sim = sim
         self.medium = Medium(
@@ -140,16 +158,13 @@ class World:
             data_rate_bps=data_rate_bps,
             range_m=range_m,
             loss_rate=loss_rate,
-            contention=contention,
+            contention=stack.contention,
         )
         self.wired_latency_s = wired_latency_s
-        #: World-wide transport defaults (CC selection, AP splitting, TCP
-        #: knobs); the frozen default reproduces the seed exactly.
-        self.transport = transport or TransportSpec()
-        #: World-wide contention selection (``None``: the historical global
-        #: per-channel FIFO).  ``beacon_stagger`` reaches every AP this
+        #: The world stack: the server's default flow transport, and the
+        #: contention choice whose ``beacon_stagger`` reaches every AP this
         #: world creates, independent of whether CSMA/CA itself is on.
-        self.contention = contention
+        self.stack = stack
         self.server = ServerHost(self)
         self.aps: Dict[str, AccessPoint] = {}
         self._ap_by_subnet: Dict[str, AccessPoint] = {}
@@ -199,7 +214,7 @@ class World:
             backhaul_latency_s=backhaul_latency_s,
             dhcp_response_delay=dhcp_response_delay,
             ssid=ssid,
-            beacon_stagger=bool(self.contention and self.contention.beacon_stagger),
+            beacon_stagger=self.stack.contention.beacon_stagger,
         )
         ap.uplink_handler = self._on_uplink
         self.aps[bssid] = ap

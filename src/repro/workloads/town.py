@@ -22,12 +22,10 @@ import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from ..sim.cc import TransportSpec
-from ..sim.contention import ContentionSpec
 from ..sim.engine import Simulator
 from ..sim.ap import AccessPoint
 from ..sim.mobility import LoopMobility, StaticPosition, circle_point
-from ..sim.world import World
+from ..sim.world import StackSpec, World
 
 __all__ = ["TownConfig", "TownInstance", "build_town", "lab_topology", "PRESETS"]
 
@@ -145,16 +143,12 @@ def build_town(
     sim: Simulator,
     config: Optional[TownConfig] = None,
     preset: Optional[str] = None,
-    transport: Optional[TransportSpec] = None,
-    contention: Optional[ContentionSpec] = None,
+    stack: StackSpec = StackSpec(),
 ) -> TownInstance:
-    """Instantiate a town into a fresh :class:`World`.
+    """Instantiate a town into a fresh :class:`World` on ``stack``.
 
     AP placement uses the simulator's seeded ``town.placement`` stream, so
-    the same seed reproduces the same town exactly.  ``transport`` sets the
-    world-wide CC/split selection (None keeps the historical Reno default);
-    ``contention`` enables the CSMA/CA multi-cell MAC (None keeps the
-    global per-channel FIFO).
+    the same seed reproduces the same town exactly.
     """
     if config is not None and preset is not None:
         raise ValueError("pass either config or preset, not both")
@@ -166,8 +160,7 @@ def build_town(
         range_m=config.radio_range_m,
         loss_rate=config.loss_rate,
         wired_latency_s=config.wired_latency_s,
-        transport=transport,
-        contention=contention,
+        stack=stack,
     )
     rng = sim.rng("town.placement")
     channels = sorted(config.channel_mix)
@@ -261,8 +254,7 @@ def lab_topology(
     wired_latency_s: float = 0.01,
     backhaul_latency_s: float = 0.02,
     data_rate_bps: float = 11e6,
-    transport: Optional[TransportSpec] = None,
-    contention: Optional[ContentionSpec] = None,
+    stack: StackSpec = StackSpec(),
 ) -> Tuple[World, List[AccessPoint], StaticPosition]:
     """The indoor testbed: APs near a static client, clean channel.
 
@@ -277,8 +269,7 @@ def lab_topology(
         loss_rate=loss_rate,
         wired_latency_s=wired_latency_s,
         data_rate_bps=data_rate_bps,
-        transport=transport,
-        contention=contention,
+        stack=stack,
     )
     aps = []
     for index, (channel, backhaul) in enumerate(ap_specs):

@@ -401,17 +401,23 @@ class TestInvalidation:
     def test_transport_spec_changes_canonical_token(self):
         from repro.experiments.common import TownTrialSpec
         from repro.sim.cc import TransportSpec
+        from repro.sim.contention import ContentionSpec
+        from repro.sim.world import StackSpec
 
-        def spec(transport):
-            return TownTrialSpec(
-                factory=_double, label="t", seed=0, transport=transport
+        def token(**stack):
+            return canonical_token(
+                TownTrialSpec(
+                    factory=_double, label="t", seed=0, stack=StackSpec(**stack)
+                )
             )
 
-        default = canonical_token(spec(None))
-        reno = canonical_token(spec(TransportSpec()))
-        cubic = canonical_token(spec(TransportSpec(cc="cubic")))
-        split = canonical_token(spec(TransportSpec(split=True)))
-        assert len({default, reno, cubic, split}) == 4
+        # The default and an explicit Reno transport are the same run.
+        default = canonical_token(TownTrialSpec(factory=_double, label="t", seed=0))
+        assert token(transport=TransportSpec()) == default
+        cubic = token(transport=TransportSpec(cc="cubic"))
+        split = token(transport=TransportSpec(split=True))
+        contended = token(contention=ContentionSpec())
+        assert len({default, cubic, split, contended}) == 4
 
 
 # ---------------------------------------------------------------------------

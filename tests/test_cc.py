@@ -2,7 +2,7 @@
 
 Covers the controller strategy classes (Reno arithmetic, CUBIC window
 growth, BBR-lite pacing bounds), the frozen :class:`TransportSpec` bundle
-and its env/CLI resolution, the split-connection AP proxy, and the
+and its CLI resolution, the split-connection AP proxy, and the
 QUIC-style 0-RTT join-verify skip.
 """
 
@@ -26,7 +26,7 @@ from repro.sim.cc import (
     resolve_transport,
 )
 from repro.sim.engine import Simulator
-from repro.sim.world import World
+from repro.sim.world import StackSpec, World
 
 from conftest import make_lab_ap
 
@@ -245,8 +245,9 @@ class TestTransportSpec:
 
 class TestResolveTransport:
     def test_nothing_requested_returns_none(self, monkeypatch):
-        monkeypatch.delenv("REPRO_CC", raising=False)
-        monkeypatch.delenv("REPRO_SPLIT", raising=False)
+        # The environment has no say: only the flags choose a transport.
+        monkeypatch.setenv("REPRO_CC", "cubic")
+        monkeypatch.setenv("REPRO_SPLIT", "1")
         assert resolve_transport() is None
 
     def test_cli_args_win(self, monkeypatch):
@@ -254,25 +255,7 @@ class TestResolveTransport:
         monkeypatch.setenv("REPRO_SPLIT", "1")
         spec = resolve_transport(cc="bbr", split=False)
         assert spec == TransportSpec(cc="bbr", split=False)
-
-    def test_env_fallback(self, monkeypatch):
-        monkeypatch.setenv("REPRO_CC", "quic0rtt")
-        monkeypatch.delenv("REPRO_SPLIT", raising=False)
-        spec = resolve_transport()
-        assert spec == TransportSpec(cc="quic0rtt", split=False)
-
-    @pytest.mark.parametrize("value", ["", "0", "false", "No", "OFF"])
-    def test_falsey_split_env_values(self, monkeypatch, value):
-        monkeypatch.delenv("REPRO_CC", raising=False)
-        monkeypatch.setenv("REPRO_SPLIT", value)
-        spec = resolve_transport()
-        assert spec is not None and not spec.split
-
-    def test_split_env_truthy(self, monkeypatch):
-        monkeypatch.delenv("REPRO_CC", raising=False)
-        monkeypatch.setenv("REPRO_SPLIT", "yes")
-        spec = resolve_transport()
-        assert spec == TransportSpec(cc="reno", split=True)
+        assert resolve_transport(split=True) == TransportSpec(split=True)
 
 
 class _LabClient:
@@ -331,7 +314,7 @@ class TestSplitProxy:
         phase (the join handshake has its own retry story, tested
         elsewhere)."""
         sim = Simulator(seed=7)
-        world = World(sim, loss_rate=0.0, transport=transport)
+        world = World(sim, loss_rate=0.0, stack=StackSpec(transport=transport))
         ap = make_lab_ap(world, x=5.0)
         client = _LabClient(sim, world, ap)
         sim.run(until=3.0)
@@ -405,7 +388,7 @@ class TestZeroRttJoin:
 
         tele = Telemetry()
         sim = Simulator(seed=11, telemetry=tele)
-        world = World(sim, loss_rate=0.0, transport=transport)
+        world = World(sim, loss_rate=0.0, stack=StackSpec(transport=transport))
         ap = make_lab_ap(world, x=5.0)
         nic = WifiNic(sim, world.medium, StaticPosition(0, 0), "veh",
                       initial_channel=ap.channel)

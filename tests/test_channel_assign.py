@@ -18,6 +18,7 @@ from repro.fabric import InProcessFabric, activate
 from repro.runner.pool import TrialError
 from repro.sim.contention import ContentionSpec
 from repro.sim.engine import Simulator
+from repro.sim.world import StackSpec
 from repro.workloads.town import PRESETS, build_town
 from dataclasses import replace
 
@@ -36,12 +37,13 @@ def small_spec(**overrides) -> ChannelAssignSpec:
     return ChannelAssignSpec(**base)
 
 
-def small_town(seed=0, contention=ContentionSpec()):
+def small_town(seed=0):
     sim = Simulator(seed=seed)
     config = replace(
         PRESETS["city"], loop_length_m=1200.0, ap_density_per_km=40.0
     )
-    return sim, build_town(sim, config=config, contention=contention)
+    stack = StackSpec(contention=ContentionSpec())
+    return sim, build_town(sim, config=config, stack=stack)
 
 
 class TestApplyStrategy:

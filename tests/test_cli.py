@@ -27,6 +27,17 @@ class TestCli:
         assert main(["knapsack"]) == 0
         assert "Appendix A" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("duration", ["nan", "inf", "-inf", "-5", "0"])
+    def test_bad_duration_is_a_usage_error(self, duration, capsys, monkeypatch):
+        import repro.__main__ as cli
+
+        def must_not_run(*args, **kwargs):
+            pytest.fail(f"--duration {duration} reached the experiment")
+
+        monkeypatch.setattr(cli, "run_experiment", must_not_run)
+        assert main(["table2", "--trials", "1", f"--duration={duration}"]) == 2
+        assert "--duration must be finite and > 0" in capsys.readouterr().err
+
 
 class TestCliTelemetry:
     def test_telemetry_flags_export_and_summarize(self, tmp_path, capsys):
@@ -86,24 +97,18 @@ class TestCliTransportFlags:
         assert spec.transport == TransportSpec(cc="cubic", split=True)
 
     def test_no_flags_leave_transport_unset(self, monkeypatch):
-        monkeypatch.delenv("REPRO_CC", raising=False)
-        monkeypatch.delenv("REPRO_SPLIT", raising=False)
-        spec = self.capture_spec(monkeypatch, ["table2"])
-        assert spec.transport is None
-
-    def test_env_knobs_fill_transport(self, monkeypatch):
-        from repro.sim.cc import TransportSpec
-
+        # The environment has no say: only the flags choose a transport.
         monkeypatch.setenv("REPRO_CC", "bbr")
         monkeypatch.setenv("REPRO_SPLIT", "1")
         spec = self.capture_spec(monkeypatch, ["table2"])
-        assert spec.transport == TransportSpec(cc="bbr", split=True)
+        assert spec.transport is None
 
     def test_no_split_overrides_env(self, monkeypatch):
+        from repro.sim.cc import TransportSpec
+
         monkeypatch.setenv("REPRO_SPLIT", "1")
-        monkeypatch.delenv("REPRO_CC", raising=False)
         spec = self.capture_spec(monkeypatch, ["table2", "--no-split"])
-        assert spec.transport is not None and not spec.transport.split
+        assert spec.transport == TransportSpec(split=False)
 
     def test_unknown_cc_rejected_by_parser(self, capsys):
         with pytest.raises(SystemExit):
@@ -123,7 +128,6 @@ class TestCliContentionFlag:
     def test_on_builds_the_default_spec(self, monkeypatch):
         from repro.sim.contention import ContentionSpec
 
-        monkeypatch.delenv("REPRO_CONTENTION", raising=False)
         spec = self.capture_spec(monkeypatch, ["table2", "--contention", "on"])
         assert spec.contention == ContentionSpec()
 
@@ -142,16 +146,10 @@ class TestCliContentionFlag:
         assert spec.contention == ContentionSpec(beacon_stagger=True)
 
     def test_no_flag_leaves_contention_unset(self, monkeypatch):
-        monkeypatch.delenv("REPRO_CONTENTION", raising=False)
-        spec = self.capture_spec(monkeypatch, ["table2"])
-        assert spec.contention is None
-
-    def test_env_knob_fills_contention(self, monkeypatch):
-        from repro.sim.contention import ContentionSpec
-
+        # The environment has no say: only the flag chooses contention.
         monkeypatch.setenv("REPRO_CONTENTION", "on")
         spec = self.capture_spec(monkeypatch, ["table2"])
-        assert spec.contention == ContentionSpec()
+        assert spec.contention is None
 
     def test_flag_wins_over_env(self, monkeypatch):
         from repro.sim.contention import ContentionSpec
@@ -160,8 +158,7 @@ class TestCliContentionFlag:
         spec = self.capture_spec(monkeypatch, ["table2", "--contention", "off"])
         assert spec.contention == ContentionSpec(enabled=False)
 
-    def test_bad_mode_is_a_usage_error(self, capsys, monkeypatch):
-        monkeypatch.delenv("REPRO_CONTENTION", raising=False)
+    def test_bad_mode_is_a_usage_error(self, capsys):
         assert main(["table2", "--contention", "maybe"]) == 2
         assert "bad --contention mode" in capsys.readouterr().err
 

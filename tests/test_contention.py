@@ -3,14 +3,12 @@
 from __future__ import annotations
 
 import math
-import os
 import pickle
 
 import pytest
 
 from repro.obs.telemetry import Telemetry
 from repro.sim.contention import (
-    CONTENTION_ENV,
     ContentionSpec,
     ContentionState,
     resolve_contention,
@@ -18,7 +16,7 @@ from repro.sim.contention import (
 from repro.sim.engine import Simulator
 from repro.sim.frames import BROADCAST, Frame, FrameKind
 from repro.sim.radio import BACKLOG_WARN_S, Medium
-from repro.sim.world import World
+from repro.sim.world import StackSpec, World
 
 
 class FakeStation:
@@ -101,16 +99,9 @@ class TestContentionSpec:
 
 
 class TestResolveContention:
-    def setup_method(self):
-        self._saved = os.environ.pop(CONTENTION_ENV, None)
-
-    def teardown_method(self):
-        if self._saved is not None:
-            os.environ[CONTENTION_ENV] = self._saved
-        else:
-            os.environ.pop(CONTENTION_ENV, None)
-
-    def test_nothing_requested_is_none(self):
+    def test_nothing_requested_is_none(self, monkeypatch):
+        # The environment has no say: only the flag chooses contention.
+        monkeypatch.setenv("REPRO_CONTENTION", "on")
         assert resolve_contention(None) is None
         assert resolve_contention("") is None
 
@@ -131,12 +122,8 @@ class TestResolveContention:
         with pytest.raises(ValueError, match="modifier"):
             resolve_contention("stagger")
 
-    def test_env_resolves_when_no_cli(self):
-        os.environ[CONTENTION_ENV] = "on"
-        assert resolve_contention(None) == ContentionSpec()
-
-    def test_cli_wins_over_env(self):
-        os.environ[CONTENTION_ENV] = "on"
+    def test_cli_wins_over_env(self, monkeypatch):
+        monkeypatch.setenv("REPRO_CONTENTION", "on")
         assert resolve_contention("off") == ContentionSpec(enabled=False)
 
     def test_bad_token_raises(self):
@@ -466,7 +453,9 @@ class TestBeaconStagger:
     def test_stagger_draws_per_bssid_phases(self):
         sim = Simulator(seed=5)
         world = World(
-            sim, loss_rate=0.0, contention=ContentionSpec(beacon_stagger=True)
+            sim,
+            loss_rate=0.0,
+            stack=StackSpec(contention=ContentionSpec(beacon_stagger=True)),
         )
         ap_a = world.add_ap(channel=1, position=(10.0, 0.0))
         ap_b = world.add_ap(channel=1, position=(20.0, 0.0))
@@ -476,9 +465,9 @@ class TestBeaconStagger:
         assert phase_a is not phase_b
 
     def test_stagger_off_matches_absent_spec(self):
-        def beacon_times(contention):
+        def beacon_times(**stack):
             sim = Simulator(seed=5)
-            world = World(sim, loss_rate=0.0, contention=contention)
+            world = World(sim, loss_rate=0.0, **stack)
             world.add_ap(channel=1, position=(10.0, 0.0))
             world.add_ap(channel=1, position=(20.0, 0.0))
             rx = FakeStation("rx", x=15.0)
@@ -489,9 +478,8 @@ class TestBeaconStagger:
             sim.run(until=1.0)
             return times
 
-        assert beacon_times(None) == beacon_times(
-            ContentionSpec(enabled=False, beacon_stagger=False)
-        )
+        off = ContentionSpec(enabled=False, beacon_stagger=False)
+        assert beacon_times() == beacon_times(stack=StackSpec(contention=off))
 
 
 class TestBacklogTelemetry:

@@ -1,9 +1,10 @@
 """Byte-identity: contention OFF is indistinguishable from contention ABSENT.
 
 The contention subsystem's contract: with the model off — whether because
-the spec is absent (``contention=None``, the historical default) or
-explicitly disabled (``ContentionSpec(enabled=False)``) — every trial
-result must match byte for byte, metrics *and* deterministic telemetry.
+the experiment spec's choice is absent (``contention=None``, the
+historical default) or explicitly disabled
+(``ContentionSpec(enabled=False)``) — every trial result must match byte
+for byte, metrics *and* deterministic telemetry.
 The disabled spec threads through the exact same construction path as an
 enabled one (World → Medium), so this property proves the wiring itself
 is inert: no stray RNG stream, no extra instrument, no reordered event.
@@ -17,6 +18,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro.experiments.api import ExperimentSpec
 from repro.experiments.common import TownTrialSpec, run_town_trial_spec
 from repro.experiments.town_runs import standard_factories
 from repro.sim.contention import ContentionSpec, resolve_contention
@@ -33,7 +35,7 @@ def run_cell(label: str, seed: int, contention):
         seed=seed,
         duration_s=40.0,
         telemetry=True,
-        contention=contention,
+        stack=ExperimentSpec(contention=contention).stack,
     )
     return run_town_trial_spec(spec)
 

@@ -500,6 +500,7 @@ from repro.experiments.dense_town import (  # noqa: E402
 from repro.experiments.town_runs import spider_factory  # noqa: E402
 from repro.obs.export import build_payload, collect_snapshots  # noqa: E402
 from repro.sim.faults import ApFlap, DhcpStall, FaultPlan, RandomOutages  # noqa: E402
+from repro.sim.world import StackSpec  # noqa: E402
 
 #: Small-but-contended: dense enough that flights stack and defers fire,
 #: small enough to run twice per regime.
@@ -572,7 +573,7 @@ class TestContendedFaultPlanIdentity:
             seed=2,
             duration_s=30.0,
             telemetry=True,
-            contention=ContentionSpec(),
+            stack=StackSpec(contention=ContentionSpec()),
             faults=plan,
         )
         with reference_paths(reference):

@@ -68,6 +68,17 @@ class TestScheduling:
         with pytest.raises(ValueError):
             sim.schedule_at(math.nan, lambda: None)
 
+    def test_nan_horizon_rejected(self, sim):
+        # No event time compares past NaN, so a run until NaN would only
+        # stop at the event budget.
+        ticks = []
+        PeriodicProcess(sim, 1.0, lambda: ticks.append(sim.now))
+        with pytest.raises(ValueError, match="NaN"):
+            sim.run(until=math.nan, max_events=1000)
+        assert ticks == [] and sim.now == 0.0
+        sim.run(until=2.5)  # the simulator is still usable
+        assert ticks and sim.now == 2.5
+
     def test_events_scheduled_during_run_execute(self, sim):
         log = []
 

@@ -12,6 +12,7 @@ import multiprocessing
 import os
 import pickle
 import time
+import warnings
 from dataclasses import dataclass
 from unittest import mock
 
@@ -144,6 +145,18 @@ class TestResolveTrialKnobs:
         with pytest.warns(UserWarning, match="negative"):
             assert resolve_trial_timeout(-3.0) is None
 
+    def test_timeout_nan_warns_and_disables(self, monkeypatch):
+        with pytest.warns(UserWarning, match="NaN"):
+            assert resolve_trial_timeout(float("nan")) is None
+        monkeypatch.setenv(TIMEOUT_ENV, "nan")
+        with pytest.warns(UserWarning, match="NaN"):
+            assert resolve_trial_timeout(None) is None
+
+    def test_timeout_inf_disables(self, monkeypatch):
+        assert resolve_trial_timeout(float("inf")) is None
+        monkeypatch.setenv(TIMEOUT_ENV, "inf")
+        assert resolve_trial_timeout(None) is None
+
     def test_retries_default_zero(self, monkeypatch):
         monkeypatch.delenv(RETRIES_ENV, raising=False)
         assert resolve_trial_retries(None) == 0
@@ -238,6 +251,15 @@ class TestFaultyJobs:
         assert [r.ok for r in results] == [True, False, True]
         assert "timed out" in results[1].error
         assert _values([results[0], results[2]]) == [2, 4]
+
+    @pytest.mark.parametrize("timeout_s", [float("nan"), float("inf")])
+    def test_unbounded_timeout_runs_every_job(self, timeout_s):
+        jobs = [TrialJob(_double, (i,), tag=i) for i in range(4)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # NaN warns; that is tested above
+            results = run_jobs(jobs, workers=2, timeout_s=timeout_s)
+        assert [r.ok for r in results] == [True] * 4, [r.error for r in results]
+        assert _values(results) == [0, 2, 4, 6]
 
     def test_retry_recovers_flaky_job_serial(self, tmp_path):
         marker = str(tmp_path / "marker")

@@ -1,14 +1,16 @@
 """Every world and every TCP sender an experiment builds gets its spec's
-contention and transport selection.
+stack.
 
 The CLI's ``--contention`` and ``--cc``/``--split`` flags fill
-``ExperimentSpec.contention`` and ``ExperimentSpec.transport``.  An
-experiment that builds a world without them silently runs the global
-airtime FIFO or the default sender instead of what was asked for.  Each
-registered experiment that builds a :class:`~repro.sim.world.World` runs
-here at toy scale with a non-default choice of both, while spies on
-``World.__init__`` and ``TcpSender.__init__`` record what every world and
-every sender actually got.
+``ExperimentSpec.contention`` and ``ExperimentSpec.transport``, which the
+spec's ``stack`` carries to every world.  An experiment that builds a
+world on another stack silently runs the global airtime FIFO or the
+default sender instead of what was asked for.  Each registered experiment
+that builds a :class:`~repro.sim.world.World` runs here at toy scale with
+a non-default choice of both, while spies on ``World.__init__`` and
+``TcpSender.__init__`` record what every world and every sender actually
+got.  Worlds are compared by their whole ``stack``, so a field added to
+:class:`~repro.sim.world.StackSpec` is covered here too.
 """
 
 from __future__ import annotations
@@ -44,20 +46,13 @@ from repro.experiments.town_runs import CONFIG_CH1_MULTI_AP
 from repro.sim.cc import TransportSpec
 from repro.sim.contention import ContentionSpec
 from repro.sim.tcp import TcpSender
-from repro.sim.world import World
+from repro.sim.world import StackSpec, World
 
 CONTENTION = ContentionSpec()
 TRANSPORT = TransportSpec(cc="cubic", mss=1000)
 
 #: Pure analytic models: they build no world at all.
 NO_WORLD = frozenset({"fig2", "fig3", "fig4", "knapsack"})
-
-#: The experiments whose own grid sets each trial's transport.
-OWN_TRANSPORT = {
-    # The matrix's cc x split axes are what it varies, so every cell
-    # builds its world and senders with that cell's TransportSpec.
-    "transport-matrix",
-}
 
 GRID_LABEL = "ch1, ll=100ms, dhcp=200ms, 7if"
 
@@ -109,16 +104,32 @@ TOY_SPECS = {
 }
 
 
+def expected_stacks(name, spec):
+    """The stacks ``name``'s worlds may be built on.
+
+    The transport matrix varies ``cc`` x ``split`` itself: each cell runs
+    on the spec's stack with only those two transport fields replaced.
+    """
+    stack = spec.stack
+    if name != "transport-matrix":
+        return {stack}
+    return {
+        replace(stack, transport=replace(stack.transport, cc=cc, split=split))
+        for cc in spec.ccs
+        for split in spec.splits
+    }
+
+
 @pytest.fixture
 def built(monkeypatch):
-    """Record ``(contention, transport)`` per world and the transport per
-    sender, as each one finishes construction."""
+    """Record the stack per world and the transport per sender, as each
+    one finishes construction."""
     worlds, senders = [], []
     world_init, sender_init = World.__init__, TcpSender.__init__
 
     def spy_world(self, *args, **kwargs):
         world_init(self, *args, **kwargs)
-        worlds.append((self.contention, self.transport))
+        worlds.append(self.stack)
 
     def spy_sender(self, *args, **kwargs):
         sender_init(self, *args, **kwargs)
@@ -148,10 +159,9 @@ def test_every_world_and_sender_gets_the_spec(name, built):
         contention=CONTENTION,
         transport=TRANSPORT,
     )
+    assert spec.stack == StackSpec(transport=TRANSPORT, contention=CONTENTION)
     run_experiment(name, spec).unwrap()
     assert worlds, f"{name} built no world"
-    assert all(contention == CONTENTION for contention, _ in worlds), name
-    if name in OWN_TRANSPORT:
-        return
-    assert all(transport == TRANSPORT for _, transport in worlds), name
-    assert all(transport == TRANSPORT for transport in senders), name
+    stacks = expected_stacks(name, spec)
+    assert set(worlds) <= stacks, name
+    assert set(senders) <= {stack.transport for stack in stacks}, name

@@ -2,10 +2,11 @@
 
 The refactor's contract: extracting congestion control into
 :mod:`repro.sim.cc` must not change a single byte of any default-transport
-result.  Two equivalent selections — ``transport=None`` (the historical
-default) and an explicit ``TransportSpec()`` (what ``--cc reno`` builds) —
-must produce identical metrics *and* identical telemetry snapshots across
-the table2/fig8 grids.
+result.  Two equivalent selections — an experiment spec's
+``transport=None`` (the historical default) and an explicit
+``TransportSpec()`` (what ``--cc reno`` builds) — must produce identical
+metrics *and* identical telemetry snapshots across the table2/fig8 grids
+once their spec's ``stack`` carries them to the world.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro.experiments.api import ExperimentSpec
 from repro.experiments.common import TownTrialSpec, run_town_trial_spec
 from repro.experiments.fig7_tcp_fraction import measure_lab_throughput
 from repro.experiments.town_runs import standard_factories
@@ -34,7 +36,7 @@ def run_cell(label: str, seed: int, transport):
         seed=seed,
         duration_s=40.0,
         telemetry=True,
-        transport=transport,
+        stack=ExperimentSpec(transport=transport).stack,
     )
     return run_town_trial_spec(spec)
 
@@ -79,7 +81,9 @@ class TestFig8Identity:
         mode = OperationMode.equal_split((1, 6, 11), period_s)
         default = measure_lab_throughput(mode, measure_s=20.0)
         explicit = measure_lab_throughput(
-            mode, measure_s=20.0, transport=TransportSpec()
+            mode,
+            measure_s=20.0,
+            stack=ExperimentSpec(transport=TransportSpec()).stack,
         )
         assert default == explicit
 
