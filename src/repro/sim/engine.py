@@ -116,10 +116,6 @@ class Simulator:
         self._live = 0
         self._cancelled_in_queue = 0
         self.compactions = 0
-        # Bound of the innermost active run(); +inf outside run().  Event
-        # batchers (the medium's per-channel drain) must not warp the clock
-        # past it, or frames due after ``until`` would be delivered early.
-        self._run_until = math.inf
 
     # ------------------------------------------------------------------
     # Random streams
@@ -160,14 +156,15 @@ class Simulator:
         """Schedule ``fn(*args)`` at ``time`` with no cancellation handle.
 
         The fire-and-forget twin of :meth:`schedule_at`, for hot callers
-        whose events are never cancelled: the radio's drains and contended
-        retries (invalidated by generation tokens, not cancellation), the
-        AP backhaul links and management replies, and the world's wired
-        legs.  It skips the :class:`EventHandle` allocation and the handle
-        bookkeeping in the dispatch loop, which is measurable at a few
-        hundred thousand schedules per trial.  Dispatch order is identical
-        to :meth:`schedule_at` — the heap orders on ``(time, seq)`` alone,
-        so swapping one for the other never reorders events.
+        whose events are never cancelled: the radio's frame deliveries and
+        contended retries (invalidated by generation tokens, not
+        cancellation), the AP backhaul links and management replies, and
+        the world's wired legs.  It skips the :class:`EventHandle`
+        allocation and the handle bookkeeping in the dispatch loop, which
+        is measurable at a few hundred thousand schedules per trial.
+        Dispatch order is identical to :meth:`schedule_at` — the heap
+        orders on ``(time, seq)`` alone, so swapping one for the other
+        never reorders events.
         """
         if time != time:  # inline NaN check; math.isnan costs a call here
             raise ValueError("event time is NaN")
@@ -220,7 +217,6 @@ class Simulator:
             raise RuntimeError("simulator is already running (re-entrant run())")
         self._running = True
         budget = math.inf if max_events is None else max_events
-        self._run_until = until
         # Local aliases shave attribute lookups off the per-event cost;
         # _compact() mutates the queue list in place, so the alias survives
         # mid-run compactions.
@@ -228,9 +224,8 @@ class Simulator:
         heappop = heapq.heappop
         # Dispatch counters accumulate locally and flush in the finally
         # block: nothing reads events_processed or pending_events() from
-        # inside a callback (count_logical_event's attribute increments
-        # commute with the deferred flush), and two read-modify-write
-        # attribute round-trips per event are measurable at city scale.
+        # inside a callback, and two read-modify-write attribute
+        # round-trips per event are measurable at city scale.
         dispatched = 0
         try:
             if self.telemetry.enabled:
@@ -277,7 +272,6 @@ class Simulator:
             self._live -= dispatched
             self.events_processed += dispatched
             self._running = False
-            self._run_until = math.inf
 
     def _run_profiled(self, until: float, budget: float) -> None:
         """The telemetry-enabled twin of ``run()``'s hot loop.
@@ -296,7 +290,6 @@ class Simulator:
         dispatch_wall: Dict[str, float] = {}
         heap_high_water = len(queue)
         events_run = 0
-        processed_at_entry = self.events_processed
         wall_start = perf_counter()
         try:
             while queue:
@@ -318,11 +311,9 @@ class Simulator:
                     raise RuntimeError("event budget exhausted; possible event storm")
                 budget -= 1
                 self.now = time
-                self._live -= 1
                 if handle is not None:
                     fn, args = handle.fn, handle.args
                     handle.fn, handle.args = None, ()
-                self.events_processed += 1
                 events_run += 1
                 depth = len(queue)
                 if depth > heap_high_water:
@@ -335,14 +326,13 @@ class Simulator:
                 dispatch_wall[kind] = dispatch_wall.get(kind, 0.0) + elapsed
         finally:
             wall_s = perf_counter() - wall_start
+            self._live -= events_run
+            self.events_processed += events_run
             tele = self.telemetry
-            # "engine.events" counts *logical* events (dispatched + frames
-            # folded into batched drains via count_logical_event) so it
-            # reconciles exactly with Simulator.events_processed;
-            # "engine.dispatched" is the subset that went through the loop.
-            tele.counter("engine.events").inc(
-                self.events_processed - processed_at_entry
-            )
+            # Every event is one dispatch, so "engine.events" and
+            # "engine.dispatched" are equal and both reconcile exactly with
+            # Simulator.events_processed.
+            tele.counter("engine.events").inc(events_run)
             tele.counter("engine.dispatched").inc(events_run)
             tele.gauge("engine.heap_depth").set_max(heap_high_water)
             for kind, count in dispatch_counts.items():
@@ -361,56 +351,6 @@ class Simulator:
         """Number of not-yet-cancelled events still queued (O(1))."""
         return self._live
 
-    # ------------------------------------------------------------------
-    # Event-horizon introspection (used by batched delivery)
-    # ------------------------------------------------------------------
-    def peek_next_event_time(self) -> float:
-        """Time of the next live event, or +inf with an empty queue.
-
-        Cancelled entries at the top of the heap are popped as a side
-        effect (they would be skipped by ``run`` anyway), so the returned
-        time always belongs to an event that will actually fire.  Together
-        with :meth:`run_until_bound` this defines the *event horizon*: the
-        span of simulated time in which no callback can observe or change
-        state, which is what makes it safe for the wireless medium to
-        deliver a run of queued frames from a single engine event.
-        """
-        queue = self._queue
-        while queue:
-            entry = queue[0]
-            handle = entry[2]
-            if handle is not None and handle.cancelled:
-                heapq.heappop(queue)
-                self._cancelled_in_queue -= 1
-                continue
-            return entry[0]
-        return math.inf
-
-    def run_until_bound(self) -> float:
-        """The ``until`` bound of the active run (+inf outside ``run``)."""
-        return self._run_until
-
-    def advance_clock(self, time: float) -> None:
-        """Warp ``now`` forward within the current event horizon.
-
-        Callers (the medium's drain loop) must only pass times that are
-        ``<= min(peek_next_event_time(), run_until_bound())``; anything
-        later would reorder the warped work against real events.
-        """
-        if time < self.now:
-            raise ValueError(f"cannot warp backwards: {time} < {self.now}")
-        self.now = time
-
-    def count_logical_event(self) -> None:
-        """Count one unit of work folded into a batched engine event.
-
-        Batched delivery replaces N per-frame engine events with one drain
-        dispatch; crediting the N-1 folded frames keeps ``events_processed``
-        meaning "logical simulation events" so the figure stays comparable
-        across batched and unbatched runs (and across PRs).
-        """
-        self.events_processed += 1
-
 
 class PeriodicProcess:
     """Invoke a callback at a fixed period until stopped.
@@ -427,8 +367,11 @@ class PeriodicProcess:
         fn: Callable[[], None],
         phase: Optional[float] = None,
     ):
-        if period <= 0:
-            raise ValueError(f"period must be positive: {period!r}")
+        # ``isfinite`` first: NaN slips through ``<= 0`` and would fail
+        # only at the first reschedule, and an infinite period parks the
+        # next tick at ``t = inf``, where an unbounded run() spins forever.
+        if not math.isfinite(period) or period <= 0:
+            raise ValueError(f"period must be positive and finite: {period!r}")
         self.sim = sim
         self.period = period
         self.fn = fn

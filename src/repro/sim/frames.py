@@ -120,7 +120,7 @@ class Frame:
     channel: int = 0
     bssid: Optional[str] = None
     payload: Any = None
-    frame_id: int = field(default_factory=lambda: next(_frame_ids))
+    frame_id: int = field(default_factory=_frame_ids.__next__)
 
     @property
     def is_broadcast(self) -> bool:

@@ -185,18 +185,6 @@ class Medium:
         # state: with edge >= range_m, any in-range station sits in the 3x3
         # cells around the sender.
         self._bin_m = max(range_m, 1.0)
-        # Frame-event batching: instead of one engine event per frame, each
-        # channel keeps a FIFO of (deliver_time, sender_id, frame) and a
-        # single in-flight drain event.  The drain delivers every queued
-        # frame that falls inside the current event horizon (see
-        # Simulator.peek_next_event_time) by warping the clock to each
-        # frame's true completion time, so back-to-back bursts on a busy
-        # channel cost one engine event instead of one per frame while
-        # remaining byte-identical to per-frame scheduling.
-        # Per-channel [pending deque of (deliver_time, sender_id, frame),
-        # drain-event-in-flight flag] — one dict lookup on the transmit
-        # hot path covers both.
-        self._chan_state: Dict[int, List] = {}
         #: Optional observers called as fn(frame, receiver_id) on delivery.
         self.delivery_hooks: List[Callable[[Frame, str], None]] = []
         self.frames_sent = 0
@@ -415,14 +403,17 @@ class Medium:
         stations that moved away or retuned mid-flight miss the frame —
         exactly the hazard the join model studies.
 
+        Either way each frame's delivery is its own engine event, so a
+        delivery and any other event due at the same instant run in the
+        order they were scheduled.
+
         With contention enabled, serialization is per carrier-sense cell
         instead of global: the frame contends via CSMA/CA (DIFS + slotted
-        backoff), may collide with hidden terminals, and is scheduled as
-        its own engine event — concurrent cells complete out of FIFO
-        order, which the per-channel drain queue cannot represent.  The
-        completion time is then unknowable at transmit time (it depends
-        on future backoff draws and queue preemption), so the return
-        value is only a lower-bound *estimate* — do not pace off it.
+        backoff), may collide with hidden terminals, and concurrent cells
+        complete out of FIFO order.  The completion time is then
+        unknowable at transmit time (it depends on future backoff draws
+        and queue preemption), so the return value is only a lower-bound
+        *estimate* — do not pace off it.
         """
         now = self.sim.now
         channel = frame.channel
@@ -474,62 +465,20 @@ class Medium:
                 return now + self.airtime(frame)
             self._tx_queues[sender.station_id] = deque()
             return self._transmit_contended(sender, frame, now)
-        start = max(now, self._busy_until.get(channel, 0.0))
+        busy = self._busy_until.get(channel, 0.0)
+        # A compare, not max(): the builtin's call costs more than the
+        # choice, and a tie picks ``now`` exactly as max() would.
+        start = busy if busy > now else now
         done = start + self.airtime(frame)
         self._busy_until[channel] = done
         self.frames_sent += 1
         wait = start - now
         if wait > self._backlog_high or wait > BACKLOG_WARN_S:
             self._note_backlog(channel, wait)
-        deliver_at = done + PROPAGATION_DELAY_S
-        state = self._chan_state.get(channel)
-        if state is None:
-            state = self._chan_state[channel] = [deque(), False]
-        state[0].append((deliver_at, sender.station_id, frame))
-        if not state[1]:
-            # The drain event is scheduled eagerly at transmit time so its
-            # heap position (and hence same-instant tie-breaking) matches
-            # the per-frame event a one-event-per-frame medium would create.
-            state[1] = True
-            self.sim.schedule_fire(deliver_at, self._drain, channel)
+        self.sim.schedule_fire(
+            done + PROPAGATION_DELAY_S, self._deliver, sender.station_id, frame
+        )
         return done
-
-    def _drain(self, channel: int) -> None:
-        """Deliver queued frames for ``channel`` up to the event horizon.
-
-        Frames are delivered strictly in completion-time order with the
-        clock warped to each frame's own arrival time, so receivers observe
-        positions, tuned channels, and timestamps exactly as they would
-        under per-frame scheduling.  The loop stops at the first frame due
-        beyond the horizon — the next live engine event or the active
-        ``run(until=...)`` bound — because state may change there; a
-        follow-up drain is scheduled for that frame instead.
-        """
-        state = self._chan_state[channel]
-        pending = state[0]
-        sim = self.sim
-        first = True
-        while pending:
-            deliver_at = pending[0][0]
-            if deliver_at > sim.now:
-                # The horizon is re-read every iteration: a delivery's
-                # callbacks may have scheduled new events inside the span
-                # we measured before.
-                horizon = sim.peek_next_event_time()
-                bound = sim.run_until_bound()
-                if bound < horizon:
-                    horizon = bound
-                if deliver_at > horizon:
-                    sim.schedule_fire(deliver_at, self._drain, channel)
-                    return
-                sim.advance_clock(deliver_at)
-            _, sender_id, frame = pending.popleft()
-            if first:
-                first = False  # the dispatching engine event counted itself
-            else:
-                sim.count_logical_event()
-            self._deliver(sender_id, frame)
-        state[1] = False
 
     def _transmit_contended(
         self,
@@ -715,18 +664,32 @@ class Medium:
     def _deliver(self, sender_id: str, frame: Frame) -> None:
         """Hand a frame to its receivers at its completion time.
 
+        The global-FIFO path's delivery event: :meth:`transmit` schedules
+        one per frame, at the frame's completion time plus propagation.
         :meth:`VectorIndex.survivors` resolves the receivers, in
         registration order; each takes one loss draw from the
         ``medium.loss`` stream, interleaved with the receiver callbacks.
-        Beacon deliveries to stations declaring ``ignores_beacons`` skip
-        the no-op ``on_frame`` call — counters, hooks and the loss draw
-        still happen, keeping every observable identical.
+        A frame nobody hears returns before the loss rate is read: it
+        draws nothing, and a bursty-loss chain advances lazily on its own
+        stream, so skipping the query changes no later draw.  Beacon
+        deliveries to stations declaring ``ignores_beacons`` skip the
+        no-op ``on_frame`` call — counters, hooks and the loss draw still
+        happen, keeping every observable identical.
         """
         sender = self._stations.get(sender_id)
         if sender is None:
             return  # sender vanished mid-flight (e.g., torn down)
         sx, sy = sender.position()
         survivors = self._vec.survivors(sender_id, frame, sx, sy)
+        if not survivors:
+            if frame.dst != BROADCAST:
+                # No eligible receiver: the link-layer ACK never comes
+                # back.  Senders that care (APs re-queueing toward
+                # sleeping clients) implement on_delivery_failed.
+                failed = getattr(sender, "on_delivery_failed", None)
+                if failed is not None:
+                    failed(frame)
+            return
         loss_p = self._effective_loss(frame)
         rng_random = self._rng.random
         hooks = self.delivery_hooks
@@ -746,10 +709,3 @@ class Medium:
         if lost:
             self.frames_lost += lost
             self._obs_drops.inc(lost)
-        if not survivors and frame.dst != BROADCAST:
-            # No eligible receiver: the link-layer ACK never comes back.
-            # Senders that care (APs re-queueing toward sleeping clients)
-            # implement on_delivery_failed.
-            failed = getattr(sender, "on_delivery_failed", None)
-            if failed is not None:
-                failed(frame)

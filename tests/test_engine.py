@@ -206,6 +206,17 @@ class TestPeriodicProcess:
         with pytest.raises(ValueError):
             PeriodicProcess(sim, 0.0, lambda: None)
 
+    @pytest.mark.parametrize("period", [math.nan, math.inf])
+    def test_non_finite_period_rejected(self, sim, period):
+        """A NaN period would fail only at the first reschedule, and an
+        infinite one parks the next tick at ``t = inf``, where an unbounded
+        ``run()`` never ends: both are refused at construction."""
+        ticks = []
+        with pytest.raises(ValueError, match="finite"):
+            PeriodicProcess(sim, period, lambda: ticks.append(sim.now), phase=0.5)
+        assert sim.pending_events() == 0
+        assert ticks == []
+
 
 class TestDeterminismProperty:
     @settings(max_examples=25, deadline=None)

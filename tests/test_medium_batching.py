@@ -1,9 +1,10 @@
-"""Unit tests for the medium's per-channel delivery batching.
+"""Unit tests for the global-FIFO medium's per-frame delivery events.
 
-PR 3 replaced one engine event per frame with a per-channel queue drained
-from a single event.  These tests pin the queue semantics: delivery order,
-per-frame arrival clocks, the event-horizon stop, the idle-flag reset, and
-per-channel independence.
+Each transmitted frame is delivered by its own engine event at its
+completion time plus propagation.  These tests pin what that means:
+delivery order, per-frame arrival clocks, the ``run(until=...)`` bound, a
+channel that goes idle and busy again, per-channel independence, and the
+scheduling order among events due at the same instant.
 """
 
 from __future__ import annotations
@@ -65,8 +66,8 @@ class TestBatchedDelivery:
         assert len(set(times)) == 4  # channel serialization separates them
 
     def test_per_frame_arrival_clock(self):
-        """Each queued frame is delivered at its own completion time, not
-        the drain event's dispatch time."""
+        """Each frame is delivered at its own completion time plus
+        propagation, whatever else is on the air."""
         sim = Simulator(seed=2)
         medium, tx, rx = build(sim)
         done_times = [
@@ -78,8 +79,8 @@ class TestBatchedDelivery:
         assert arrival_times == pytest.approx(expected, abs=0.0)
 
     def test_drain_respects_run_bound(self):
-        """A frame due beyond ``run(until=...)`` stays queued, exactly as a
-        per-frame event would stay in the heap."""
+        """A frame due beyond ``run(until=...)`` stays in the heap and is
+        delivered by the next run."""
         sim = Simulator(seed=3)
         medium, tx, rx = build(sim)
         done = medium.transmit(tx, mgmt_frame("tx", "rx"))
@@ -116,3 +117,25 @@ class TestBatchedDelivery:
         for chan, (_tx, rx) in stations.items():
             assert len(rx.received) == 1
 
+    def test_same_instant_event_scheduled_first_runs_first(self):
+        """An event due at exactly a frame's delivery time, scheduled before
+        that frame was transmitted, runs before the frame is delivered."""
+        sim = Simulator(seed=6)
+        medium, tx, rx = build(sim)
+        first = mgmt_frame("tx", "rx", size=100)
+        second = mgmt_frame("tx", "rx", size=200)
+        medium.transmit(tx, first)
+        due = (
+            (0.0 + medium.airtime(first)) + medium.airtime(second)
+        ) + PROPAGATION_DELAY_S
+        sizes_seen = []
+        sim.schedule_at(
+            due, lambda: sizes_seen.append([r[2] for r in rx.received])
+        )
+        medium.transmit(tx, second)
+        sim.run(until=1.0)
+        assert sizes_seen == [[100]]
+        assert [(r[2], r[4]) for r in rx.received] == [
+            (100, medium.airtime(first) + PROPAGATION_DELAY_S),
+            (200, due),
+        ]
