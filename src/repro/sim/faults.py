@@ -330,6 +330,7 @@ class FaultInjector:
             self._record(f"dhcp_{action}", target)
 
     def _bursty_on(self, event: BurstyLoss) -> None:
+        self._settle_bursty()
         model = GilbertElliottLoss(
             self.sim.rng("medium.gilbert"),
             h_good=event.h_good,
@@ -342,8 +343,22 @@ class FaultInjector:
         self._record("bursty_on", "medium")
 
     def _bursty_off(self) -> None:
+        self._settle_bursty()
         self.world.medium.clear_bursty_loss()
         self._record("bursty_off", "medium")
+
+    def _settle_bursty(self) -> None:
+        """Advance the installed chain, if any, to now.
+
+        Every window's chain draws its sojourns from the one
+        ``medium.gilbert`` stream, lazily, when a delivery asks for the
+        loss rate.  Advancing the outgoing chain to the end of its window
+        makes the stream position the next window starts from depend on
+        the windows alone, not on which deliveries queried the chain.
+        """
+        model = self.world.medium.bursty_loss
+        if model is not None:
+            model.loss_rate_at(self.sim.now)
 
 
 def install_faults(

@@ -185,6 +185,15 @@ class Medium:
         # state: with edge >= range_m, any in-range station sits in the 3x3
         # cells around the sender.
         self._bin_m = max(range_m, 1.0)
+        # Global-FIFO delivery lanes.  A channel's key exists while one of
+        # its frames has a delivery event in the engine; the deque holds
+        # the frames serialized behind it, as (deliver_at, sender_id,
+        # frame).  Every frame is still delivered by its own engine event,
+        # scheduled when the frame ahead of it is delivered, so at most one
+        # frame per channel sits in the heap: a saturated channel's backlog
+        # (~84,000 frames after 10 s of the 250-vehicle city) costs one
+        # deque entry per frame instead of a heap entry.
+        self._lanes: Dict[int, Deque[Tuple[float, str, Frame]]] = {}
         #: Optional observers called as fn(frame, receiver_id) on delivery.
         self.delivery_hooks: List[Callable[[Frame, str], None]] = []
         self.frames_sent = 0
@@ -403,9 +412,11 @@ class Medium:
         stations that moved away or retuned mid-flight miss the frame —
         exactly the hazard the join model studies.
 
-        Either way each frame's delivery is its own engine event, so a
-        delivery and any other event due at the same instant run in the
-        order they were scheduled.
+        Each frame's delivery is its own engine event.  The event of a
+        frame that finds its channel's lane occupied (an earlier frame's
+        delivery still pending) is scheduled when the frame ahead of it
+        is delivered; events due at the same instant run in the order
+        they were scheduled.
 
         With contention enabled, serialization is per carrier-sense cell
         instead of global: the frame contends via CSMA/CA (DIFS + slotted
@@ -475,9 +486,15 @@ class Medium:
         wait = start - now
         if wait > self._backlog_high or wait > BACKLOG_WARN_S:
             self._note_backlog(channel, wait)
-        self.sim.schedule_fire(
-            done + PROPAGATION_DELAY_S, self._deliver, sender.station_id, frame
-        )
+        deliver_at = done + PROPAGATION_DELAY_S
+        lane = self._lanes.get(channel)
+        if lane is None:
+            self._lanes[channel] = deque()
+            self.sim.schedule_fire(
+                deliver_at, self._deliver, channel, sender.station_id, frame
+            )
+        else:
+            lane.append((deliver_at, sender.station_id, frame))
         return done
 
     def _transmit_contended(
@@ -661,21 +678,33 @@ class Medium:
                 failed(frame)
         self._advance_tx_queue(sender_id)
 
-    def _deliver(self, sender_id: str, frame: Frame) -> None:
+    def _deliver(self, channel: int, sender_id: str, frame: Frame) -> None:
         """Hand a frame to its receivers at its completion time.
 
-        The global-FIFO path's delivery event: :meth:`transmit` schedules
-        one per frame, at the frame's completion time plus propagation.
+        The global-FIFO path's delivery event, one per frame, at the
+        frame's completion time plus propagation.  It first schedules the
+        next frame in ``channel``'s lane, before any receiver callback
+        runs, so that frame's event precedes whatever this delivery
+        schedules for the same instant.
         :meth:`VectorIndex.survivors` resolves the receivers, in
         registration order; each takes one loss draw from the
         ``medium.loss`` stream, interleaved with the receiver callbacks.
         A frame nobody hears returns before the loss rate is read: it
-        draws nothing, and a bursty-loss chain advances lazily on its own
-        stream, so skipping the query changes no later draw.  Beacon
+        draws nothing, and a bursty-loss chain's state is a function of
+        time on its own stream (the fault injector advances it to the end
+        of its window), so skipping the query changes no later draw.  Beacon
         deliveries to stations declaring ``ignores_beacons`` skip the
         no-op ``on_frame`` call — counters, hooks and the loss draw still
         happen, keeping every observable identical.
         """
+        lane = self._lanes[channel]
+        if lane:
+            deliver_at, next_sender, next_frame = lane.popleft()
+            self.sim.schedule_fire(
+                deliver_at, self._deliver, channel, next_sender, next_frame
+            )
+        else:
+            del self._lanes[channel]
         sender = self._stations.get(sender_id)
         if sender is None:
             return  # sender vanished mid-flight (e.g., torn down)

@@ -1,12 +1,11 @@
-"""Frame-event batching and fleet sharding must not change a single bit.
+"""The medium's delivery lanes and fleet sharding must not change a bit.
 
-The PR-3 tentpole (frame-event batching, TCP segment coalescing, open-bin
-recorder arithmetic, fleet sharding) is only admissible because it is
-semantics-preserving.  The batched medium's four reference drives —
-Spider single- and multi-channel, the stock driver, and a fault plan —
-are checked against the committed golden fingerprints
-(``tests/goldens.json``); sharded fleets are compared with a single
-process.
+Frame delivery, TCP segment coalescing, open-bin recorder arithmetic and
+fleet sharding are only admissible because they are semantics-preserving.
+The medium's four reference drives — Spider single- and multi-channel,
+the stock driver, and a fault plan — are checked against the committed
+golden fingerprints (``tests/goldens.json``); sharded fleets are compared
+with a single process.
 """
 
 from __future__ import annotations
@@ -35,8 +34,8 @@ class TestBatchedBitIdentity:
         _assert_golden("drive_stock")
 
     def test_under_fault_plan(self):
-        """Fault-driven state changes land between queued deliveries; the
-        horizon logic must still replay the exact per-frame interleaving."""
+        """Fault-driven state changes land between queued deliveries; each
+        frame must still see the world as it is at its own delivery."""
         _assert_golden("drive_fault_plan")
 
     def test_batched_path_is_deterministic(self):

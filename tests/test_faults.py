@@ -238,6 +238,31 @@ class TestBurstyLossInstall:
         sim.run(until=6.0)
         assert world.medium.bursty_loss is None
 
+    def test_next_window_ignores_how_the_last_was_queried(self):
+        """Every window's chain draws from the one ``medium.gilbert``
+        stream.  The outgoing chain is advanced to its window's end, so
+        the next window starts from the same stream position whether or
+        not a delivery queried the last one."""
+        chain = dict(mean_good_s=0.05, mean_bad_s=0.05)
+        plan = FaultPlan.of(
+            BurstyLoss(at_s=1.0, duration_s=2.0, **chain),
+            BurstyLoss(at_s=5.0, duration_s=2.0, **chain),
+        )
+
+        def second_window(query_first):
+            sim = Simulator(seed=4)
+            world = World(sim, loss_rate=0.0)
+            install_faults(sim, world, plan)
+            if query_first:
+                sim.schedule_at(
+                    1.5, lambda: world.medium.bursty_loss.loss_rate_at(sim.now)
+                )
+            sim.run(until=5.0)
+            model = world.medium.bursty_loss
+            return [model.loss_rate_at(5.0 + 0.01 * i) for i in range(100)]
+
+        assert second_window(True) == second_window(False)
+
     def test_stationary_loss_report_unaffected(self, sim, world):
         # airtime/packet-loss reporting stays on the configured i.i.d. rate;
         # only per-delivery draws consult the bursty chain.

@@ -1,10 +1,13 @@
 """Unit tests for the global-FIFO medium's per-frame delivery events.
 
 Each transmitted frame is delivered by its own engine event at its
-completion time plus propagation.  These tests pin what that means:
+completion time plus propagation.  A frame queued behind another on its
+channel waits in that channel's lane, and its event is scheduled when the
+frame ahead of it is delivered.  These tests pin what that means:
 delivery order, per-frame arrival clocks, the ``run(until=...)`` bound, a
-channel that goes idle and busy again, per-channel independence, and the
-scheduling order among events due at the same instant.
+channel that goes idle and busy again, per-channel independence, one heap
+entry per busy channel, and the scheduling order among events due at the
+same instant.
 """
 
 from __future__ import annotations
@@ -139,3 +142,51 @@ class TestBatchedDelivery:
             (100, medium.airtime(first) + PROPAGATION_DELAY_S),
             (200, due),
         ]
+
+    def test_backlog_holds_one_heap_entry_per_channel(self):
+        """A channel's backlog waits in its lane, not in the engine's
+        heap: only the frame next to be delivered is an event."""
+        sim = Simulator(seed=7)
+        medium = Medium(sim, loss_rate=0.0)
+        receivers = []
+        for chan in (1, 6):
+            tx = RecordingStation(f"tx{chan}", channel=chan)
+            rx = RecordingStation(f"rx{chan}", x=30.0, channel=chan)
+            tx.sim = rx.sim = sim
+            medium.register(tx)
+            medium.register(rx)
+            receivers.append(rx)
+            for _ in range(50):
+                frame = mgmt_frame(tx.station_id, rx.station_id, channel=chan)
+                medium.transmit(tx, frame)
+        assert sim.pending_events() == 2
+        sim.run(until=1.0)
+        assert [len(rx.received) for rx in receivers] == [50, 50]
+        assert sim.pending_events() == 0
+        assert sim.events_processed == 100
+
+    def test_lane_frame_is_scheduled_when_the_frame_ahead_is_delivered(self):
+        """A queued frame's event is scheduled as the frame ahead of it is
+        delivered, before that delivery's receivers run: an event due at
+        the same instant runs first if it was scheduled earlier than that,
+        even after the queued frame was transmitted, and last if a
+        receiver of the frame ahead scheduled it."""
+        sim = Simulator(seed=8)
+        medium, tx, rx = build(sim)
+        first = mgmt_frame("tx", "rx", size=100)
+        second = mgmt_frame("tx", "rx", size=200)
+        medium.transmit(tx, first)
+        due = medium.transmit(tx, second) + PROPAGATION_DELAY_S
+        order = []
+        sim.schedule_at(due, lambda: order.append("scheduled before"))
+        on_frame = rx.on_frame
+
+        def on_frame_scheduling(frame, rssi):
+            on_frame(frame, rssi)
+            order.append(frame.size)
+            if frame is first:
+                sim.schedule_at(due, lambda: order.append("scheduled by rx"))
+
+        rx.on_frame = on_frame_scheduling
+        sim.run(until=1.0)
+        assert order == [100, "scheduled before", 200, "scheduled by rx"]
