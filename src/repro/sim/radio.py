@@ -35,7 +35,7 @@ from __future__ import annotations
 
 import logging
 import math
-from collections import deque
+from collections import defaultdict, deque
 from typing import Callable, Deque, Dict, List, Optional, Protocol, Tuple
 
 from .contention import ContentionSpec, ContentionState
@@ -185,15 +185,16 @@ class Medium:
         # state: with edge >= range_m, any in-range station sits in the 3x3
         # cells around the sender.
         self._bin_m = max(range_m, 1.0)
-        # Global-FIFO delivery lanes.  A channel's key exists while one of
-        # its frames has a delivery event in the engine; the deque holds
-        # the frames serialized behind it, as (deliver_at, sender_id,
-        # frame).  Every frame is still delivered by its own engine event,
-        # scheduled when the frame ahead of it is delivered, so at most one
-        # frame per channel sits in the heap: a saturated channel's backlog
-        # (~84,000 frames after 10 s of the 250-vehicle city) costs one
-        # deque entry per frame instead of a heap entry.
-        self._lanes: Dict[int, Deque[Tuple[float, str, Frame]]] = {}
+        # Global-FIFO delivery lanes: each channel's undelivered frames in
+        # transmit order, as (deliver_at, sender_id, frame).  Every frame
+        # is delivered by its own engine event, but only the head of a
+        # lane has one in the heap (exactly when the lane is non-empty);
+        # the next is scheduled as the head is delivered.  A saturated
+        # channel's backlog (~84,000 frames after 10 s of the 250-vehicle
+        # city) so costs one deque entry per frame, not a heap entry.
+        self._lanes: Dict[int, Deque[Tuple[float, str, Frame]]] = defaultdict(
+            deque
+        )
         #: Optional observers called as fn(frame, receiver_id) on delivery.
         self.delivery_hooks: List[Callable[[Frame, str], None]] = []
         self.frames_sent = 0
@@ -413,10 +414,9 @@ class Medium:
         exactly the hazard the join model studies.
 
         Each frame's delivery is its own engine event.  The event of a
-        frame that finds its channel's lane occupied (an earlier frame's
-        delivery still pending) is scheduled when the frame ahead of it
-        is delivered; events due at the same instant run in the order
-        they were scheduled.
+        frame queued in its channel's lane behind an undelivered frame is
+        scheduled when the frame ahead of it is delivered; events due at
+        the same instant run in the order they were scheduled.
 
         With contention enabled, serialization is per carrier-sense cell
         instead of global: the frame contends via CSMA/CA (DIFS + slotted
@@ -487,14 +487,10 @@ class Medium:
         if wait > self._backlog_high or wait > BACKLOG_WARN_S:
             self._note_backlog(channel, wait)
         deliver_at = done + PROPAGATION_DELAY_S
-        lane = self._lanes.get(channel)
-        if lane is None:
-            self._lanes[channel] = deque()
-            self.sim.schedule_fire(
-                deliver_at, self._deliver, channel, sender.station_id, frame
-            )
-        else:
-            lane.append((deliver_at, sender.station_id, frame))
+        lane = self._lanes[channel]
+        if not lane:
+            self.sim.schedule_fire(deliver_at, self._deliver, channel)
+        lane.append((deliver_at, sender.station_id, frame))
         return done
 
     def _transmit_contended(
@@ -678,14 +674,14 @@ class Medium:
                 failed(frame)
         self._advance_tx_queue(sender_id)
 
-    def _deliver(self, channel: int, sender_id: str, frame: Frame) -> None:
-        """Hand a frame to its receivers at its completion time.
+    def _deliver(self, channel: int) -> None:
+        """Hand the head of ``channel``'s lane to its receivers.
 
         The global-FIFO path's delivery event, one per frame, at the
         frame's completion time plus propagation.  It first schedules the
-        next frame in ``channel``'s lane, before any receiver callback
-        runs, so that frame's event precedes whatever this delivery
-        schedules for the same instant.
+        next frame in the lane, before any receiver callback runs, so
+        that frame's event precedes whatever this delivery schedules for
+        the same instant.
         :meth:`VectorIndex.survivors` resolves the receivers, in
         registration order; each takes one loss draw from the
         ``medium.loss`` stream, interleaved with the receiver callbacks.
@@ -698,13 +694,9 @@ class Medium:
         happen, keeping every observable identical.
         """
         lane = self._lanes[channel]
+        _, sender_id, frame = lane.popleft()
         if lane:
-            deliver_at, next_sender, next_frame = lane.popleft()
-            self.sim.schedule_fire(
-                deliver_at, self._deliver, channel, next_sender, next_frame
-            )
-        else:
-            del self._lanes[channel]
+            self.sim.schedule_fire(lane[0][0], self._deliver, channel)
         sender = self._stations.get(sender_id)
         if sender is None:
             return  # sender vanished mid-flight (e.g., torn down)
