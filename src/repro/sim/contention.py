@@ -372,24 +372,31 @@ class ContentionState:
         self._obs_collisions = tele.counter("contention.collisions")
         # Per-phase dispatch counters (deterministic — pure functions of
         # the event sequence, so the golden fingerprints cover them) plus
-        # wall-clock twins in the same style as the engine's profiling
-        # twin loop: ``contention.wall.*`` attribute contended wall time
-        # per phase and are flagged ``deterministic=False`` so they never
-        # leak into the deterministic snapshot projection.
+        # wall-clock twins: ``contention.wall.*`` attribute contended wall
+        # time per phase and are flagged ``deterministic=False`` so they
+        # never leak into the deterministic snapshot projection.
         self._obs_sense = tele.counter("contention.sense")
         self._obs_defer = tele.counter("contention.defer")
-        self._obs_collision_scan = tele.counter("contention.collision_scan")
         self._profile = bool(tele.enabled)
         self._wall_sense = tele.counter("contention.wall.sense", deterministic=False)
         self._wall_defer = tele.counter("contention.wall.defer", deterministic=False)
-        self._wall_collision_scan = tele.counter(
-            "contention.wall.collision_scan", deterministic=False
-        )
-        if not self._profile:
-            # Telemetry off: the instrumented wrapper would only forward
-            # to the scan, so bind the scan directly (one frame fewer on
-            # a call that runs once per survivor per delivery).
-            self.interfered = self._interfered  # type: ignore[method-assign]
+        if self._profile:
+            # Telemetry wraps the one scan on this instance; with it off
+            # the medium calls the method itself.
+            scan = self.interfered_rows
+            count = tele.counter("contention.collision_scan").inc
+            wall = tele.counter(
+                "contention.wall.collision_scan", deterministic=False
+            ).inc
+
+            def interfered_rows(sender_id, channel, rows, start, done):
+                count(len(rows))
+                t0 = perf_counter()
+                flags = scan(sender_id, channel, rows, start, done)
+                wall(perf_counter() - t0)
+                return flags
+
+            self.interfered_rows = interfered_rows  # type: ignore[method-assign]
 
     # ------------------------------------------------------------------
     def acquire(
@@ -407,7 +414,8 @@ class ContentionState:
         and the frame's airtime is booked, or ``(False, retry_at, 0.0)``
         when it was busy — the sender booked nothing and must re-contend
         (a fresh :meth:`acquire`) at ``retry_at``.  The medium re-checks
-        interference per receiver at delivery time via :meth:`interfered`.
+        interference per receiver at delivery time via
+        :meth:`interfered_rows`.
 
         ``priority`` marks management-plane access (EDCA-style): the
         frame waits only PIFS plus a draw from the small fixed
@@ -517,7 +525,7 @@ class ContentionState:
         # re-checked per receiver at delivery time, so prune only what
         # ended more than a max-airtime (plus slack) ago.  Pruning is
         # lazy — it waits until a cell holds _PRUNE_MIN flights — which
-        # is invisible to :meth:`interfered`: a stale flight has
+        # is invisible to :meth:`interfered_rows`: a stale flight has
         # ``f_end <= now - max_airtime - 1e-3``, while any later-checked
         # delivery has ``start >= done - max_airtime > now - 1us -
         # max_airtime``, so ``start < f_end`` can never hold for it.
@@ -532,36 +540,6 @@ class ContentionState:
         flights.append(flight)
 
     # -- hidden-terminal scan ------------------------------------------
-    def interfered(
-        self,
-        sender_id: str,
-        channel: int,
-        rx: float,
-        ry: float,
-        start: float,
-        done: float,
-        sender_distance: float,
-    ) -> bool:
-        """Receiver-side hidden-terminal check with physical capture.
-
-        True if a foreign flight overlapped ``[start, done)`` close
-        enough to the receiver at ``(rx, ry)`` to actually damage it: the
-        interferer must be within radio range *and* within
-        ``capture_ratio`` times the wanted sender's distance — a receiver
-        near its sender decodes straight through a far-off interferer.
-        """
-        if not self._profile:
-            return self._interfered(
-                sender_id, channel, rx, ry, start, done, sender_distance
-            )
-        self._obs_collision_scan.inc()
-        t0 = perf_counter()
-        hit = self._interfered(
-            sender_id, channel, rx, ry, start, done, sender_distance
-        )
-        self._wall_collision_scan.inc(perf_counter() - t0)
-        return hit
-
     def interfered_rows(
         self,
         sender_id: str,
@@ -570,22 +548,22 @@ class ContentionState:
         start: float,
         done: float,
     ) -> List[bool]:
-        """Per-survivor interference flags for one delivery.
+        """Receiver-side hidden-terminal checks with physical capture, one
+        flag per survivor of a delivery.
 
         ``rows`` are the medium's survivor 7-tuples ``(seq, station,
-        rssi, ignores_beacons, rx, ry, distance)``; the result holds
-        :meth:`interfered` evaluated for each, in order.  Interference
-        flags consume no randomness, so evaluating them up front cannot
-        perturb the draw stream.  With telemetry on, every row routes
-        through :meth:`interfered` so the deterministic ``contention.
-        collision_scan`` counter advances once per survivor.
+        rssi, ignores_beacons, rx, ry, distance)``.  A row's flag is True
+        if a foreign flight overlapped ``[start, done)`` close enough to
+        the receiver at ``(rx, ry)`` to actually damage it: the
+        interferer must be within radio range *and* within
+        ``capture_ratio`` times the wanted sender's ``distance`` — a
+        receiver near its sender decodes straight through a far-off
+        interferer.  Interference flags consume no randomness, so
+        evaluating them up front cannot perturb the draw stream.  With
+        telemetry on, the constructor wraps this method on the instance
+        to add ``len(rows)`` to the deterministic ``contention.
+        collision_scan`` counter and time each call.
         """
-        if self._profile:
-            interfered = self.interfered
-            return [
-                interfered(sender_id, channel, row[4], row[5], start, done, row[6])
-                for row in rows
-            ]
         bin_m = self._bin_m
         range_m = self.medium.range_m
         ratio = self.spec.capture_ratio
@@ -625,33 +603,6 @@ class ContentionState:
                         break
             append(hit)
         return flags
-
-    def _interfered(
-        self,
-        sender_id: str,
-        channel: int,
-        rx: float,
-        ry: float,
-        start: float,
-        done: float,
-        sender_distance: float,
-    ) -> bool:
-        """The flight scan behind :meth:`interfered`."""
-        bin_m = self._bin_m
-        cx = int(rx // bin_m)
-        cy = int(ry // bin_m)
-        grid = self._grids.get(channel)
-        if grid is None or grid.foreign(cx, cy, sender_id) <= start:
-            return False
-        pts = self._screened(channel, cx, cy, sender_id, start, done)
-        if not pts:
-            return False
-        reach = min(self.medium.range_m, self.spec.capture_ratio * sender_distance)
-        hypot = math.hypot
-        for f_x, f_y in pts:
-            if hypot(rx - f_x, ry - f_y) <= reach:
-                return True
-        return False
 
     def _screened(
         self,

@@ -93,11 +93,13 @@ class Simulator:
         the same seed and driven by the same code execute identically.
     telemetry:
         An optional :class:`repro.obs.Telemetry` registry.  ``None`` (the
-        default) binds the shared null registry, which keeps the hot loop
-        untouched: ``run()`` checks ``telemetry.enabled`` once per call and
-        only the profiled loop pays per-event instrumentation.  Telemetry
-        never schedules events or consumes RNG, so enabling it does not
-        perturb simulation results.
+        default) binds the shared null registry.  An enabled registry
+        wraps the one dispatch loop rather than replacing it:
+        ``schedule_at`` and ``schedule_fire`` are rebound on the instance
+        to schedule :meth:`_Profiler.call` in place of each callback, and
+        ``run()`` folds the profile into the registry when it returns.
+        Telemetry never schedules events of its own or consumes RNG, so
+        enabling it does not perturb simulation results.
     """
 
     def __init__(self, seed: int = 0, telemetry=None):
@@ -116,6 +118,11 @@ class Simulator:
         self._live = 0
         self._cancelled_in_queue = 0
         self.compactions = 0
+        self._profiler: Optional[_Profiler] = None
+        if self.telemetry.enabled:
+            self._profiler = profiler = _Profiler(self._queue, self.telemetry)
+            self.schedule_at = profiler.wrap(self.schedule_at)  # type: ignore[method-assign]
+            self.schedule_fire = profiler.wrap(self.schedule_fire)  # type: ignore[method-assign]
 
     # ------------------------------------------------------------------
     # Random streams
@@ -227,14 +234,10 @@ class Simulator:
         # inside a callback, and two read-modify-write attribute
         # round-trips per event are measurable at city scale.
         dispatched = 0
+        profiler = self._profiler
+        if profiler is not None:
+            profiler.start()
         try:
-            if self.telemetry.enabled:
-                # Profiled twin of the loop below; selected once per run()
-                # so the disabled path stays byte-identical to pre-telemetry.
-                self._run_profiled(until, budget)
-                if until != math.inf and until > self.now:
-                    self.now = until
-                return
             while queue:
                 entry = queue[0]
                 time = entry[0]
@@ -272,84 +275,85 @@ class Simulator:
             self._live -= dispatched
             self.events_processed += dispatched
             self._running = False
-
-    def _run_profiled(self, until: float, budget: float) -> None:
-        """The telemetry-enabled twin of ``run()``'s hot loop.
-
-        Profiling accumulates into local dicts (one perf_counter pair and
-        two dict updates per event) and folds into the registry when the
-        loop exits, so the instrumented loop stays within a small constant
-        factor of the plain one.  Event/heap figures are deterministic;
-        wall-clock figures are registered ``deterministic=False`` so they
-        stay out of bit-equality comparisons (see
-        :meth:`repro.obs.TelemetrySnapshot.deterministic`).
-        """
-        queue = self._queue
-        heappop = heapq.heappop
-        dispatch_counts: Dict[str, int] = {}
-        dispatch_wall: Dict[str, float] = {}
-        heap_high_water = len(queue)
-        events_run = 0
-        wall_start = perf_counter()
-        try:
-            while queue:
-                entry = queue[0]
-                time = entry[0]
-                if time > until:
-                    break
-                heappop(queue)
-                handle = entry[2]
-                if handle is None:
-                    fn = entry[3]
-                    args = entry[4]
-                else:
-                    if handle.cancelled:
-                        self._cancelled_in_queue -= 1
-                        continue
-                    handle.fired = True
-                if budget <= 0:
-                    raise RuntimeError("event budget exhausted; possible event storm")
-                budget -= 1
-                self.now = time
-                if handle is not None:
-                    fn, args = handle.fn, handle.args
-                    handle.fn, handle.args = None, ()
-                events_run += 1
-                depth = len(queue)
-                if depth > heap_high_water:
-                    heap_high_water = depth
-                kind = getattr(fn, "__qualname__", None) or type(fn).__name__
-                tick = perf_counter()
-                fn(*args)  # type: ignore[misc]
-                elapsed = perf_counter() - tick
-                dispatch_counts[kind] = dispatch_counts.get(kind, 0) + 1
-                dispatch_wall[kind] = dispatch_wall.get(kind, 0.0) + elapsed
-        finally:
-            wall_s = perf_counter() - wall_start
-            self._live -= events_run
-            self.events_processed += events_run
-            tele = self.telemetry
-            # Every event is one dispatch, so "engine.events" and
-            # "engine.dispatched" are equal and both reconcile exactly with
-            # Simulator.events_processed.
-            tele.counter("engine.events").inc(events_run)
-            tele.counter("engine.dispatched").inc(events_run)
-            tele.gauge("engine.heap_depth").set_max(heap_high_water)
-            for kind, count in dispatch_counts.items():
-                tele.counter(f"engine.dispatch.{kind}").inc(count)
-            for kind, spent in dispatch_wall.items():
-                tele.counter(
-                    f"engine.wall.dispatch.{kind}", deterministic=False
-                ).inc(spent)
-            tele.counter("engine.wall.run_s", deterministic=False).inc(wall_s)
-            if wall_s > 0:
-                tele.gauge("engine.wall.events_per_sec", deterministic=False).set(
-                    events_run / wall_s
-                )
+            if profiler is not None:
+                profiler.fold(dispatched)
 
     def pending_events(self) -> int:
         """Number of not-yet-cancelled events still queued (O(1))."""
         return self._live
+
+
+class _Profiler:
+    """Per-callback counts and wall time for a telemetry-enabled simulator.
+
+    :meth:`wrap` turns a scheduling method into one that schedules
+    ``call(fn, args)`` in place of ``fn(*args)``, so every dispatch of
+    ``run()``'s one loop passes through :meth:`call`.  Figures accumulate
+    in local dicts and fold into the registry once per ``run()``.  Event
+    and heap figures are deterministic; wall-clock figures are registered
+    ``deterministic=False`` so they stay out of bit-equality comparisons
+    (see :meth:`repro.obs.TelemetrySnapshot.deterministic`).
+    """
+
+    __slots__ = ("_queue", "_tele", "_counts", "_wall", "_high_water", "_run_start")
+
+    def __init__(self, queue: List[_QueueEntry], telemetry) -> None:
+        # The simulator's own heap list: compaction mutates it in place.
+        self._queue = queue
+        self._tele = telemetry
+        self._counts: Dict[str, int] = {}
+        self._wall: Dict[str, float] = {}
+        self._high_water = 0
+        self._run_start = 0.0
+
+    def wrap(self, schedule: Callable[..., Any]) -> Callable[..., Any]:
+        call = self.call
+
+        def profiled(time: float, fn: Callable[..., None], *args: Any) -> Any:
+            return schedule(time, call, fn, args)
+
+        return profiled
+
+    def call(self, fn: Callable[..., None], args: tuple) -> None:
+        # Called right after run() popped this event: the heap length now
+        # is what engine.heap_depth's high-water mark is defined over.
+        depth = len(self._queue)
+        if depth > self._high_water:
+            self._high_water = depth
+        kind = getattr(fn, "__qualname__", None) or type(fn).__name__
+        tick = perf_counter()
+        fn(*args)
+        elapsed = perf_counter() - tick
+        self._counts[kind] = self._counts.get(kind, 0) + 1
+        self._wall[kind] = self._wall.get(kind, 0.0) + elapsed
+
+    def start(self) -> None:
+        """Open a ``run()``: the heap at entry counts toward the high-water."""
+        if len(self._queue) > self._high_water:
+            self._high_water = len(self._queue)
+        self._run_start = perf_counter()
+
+    def fold(self, events: int) -> None:
+        """Close a ``run()`` that dispatched ``events`` callbacks."""
+        wall_s = perf_counter() - self._run_start
+        tele = self._tele
+        # Every event is one dispatch, so "engine.events" and
+        # "engine.dispatched" are equal and both reconcile exactly with
+        # Simulator.events_processed.
+        tele.counter("engine.events").inc(events)
+        tele.counter("engine.dispatched").inc(events)
+        tele.gauge("engine.heap_depth").set_max(self._high_water)
+        for kind, count in self._counts.items():
+            tele.counter(f"engine.dispatch.{kind}").inc(count)
+        for kind, spent in self._wall.items():
+            tele.counter(f"engine.wall.dispatch.{kind}", deterministic=False).inc(spent)
+        self._counts.clear()
+        self._wall.clear()
+        tele.counter("engine.wall.run_s", deterministic=False).inc(wall_s)
+        if wall_s > 0:
+            tele.gauge("engine.wall.events_per_sec", deterministic=False).set(
+                events / wall_s
+            )
 
 
 class PeriodicProcess:

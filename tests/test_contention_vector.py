@@ -93,26 +93,23 @@ class ReferenceContentionState(ContentionState):
         return self._chan_horizon.get(channel, 0.0)
 
     def interfered_rows(self, sender_id, channel, rows, start, done):
-        return [
-            self.interfered(sender_id, channel, row[4], row[5], start, done, row[6])
-            for row in rows
-        ]
-
-    def _interfered(self, sender_id, channel, rx, ry, start, done, sender_distance):
+        """Walk each receiver cell's whole flight list, row by row."""
         bin_m = self._bin_m
-        flights = self._covering.get((channel, int(rx // bin_m), int(ry // bin_m)))
-        if not flights:
-            return False
-        reach = min(self.medium.range_m, self.spec.capture_ratio * sender_distance)
-        for f_start, f_end, f_sender, f_x, f_y in flights:
-            if (
-                f_sender != sender_id
-                and f_start < done
-                and start < f_end
-                and math.hypot(rx - f_x, ry - f_y) <= reach
-            ):
-                return True
-        return False
+        flags = []
+        for row in rows:
+            rx, ry = row[4], row[5]
+            flights = self._covering.get((channel, int(rx // bin_m), int(ry // bin_m)), ())
+            reach = min(self.medium.range_m, self.spec.capture_ratio * row[6])
+            flags.append(
+                any(
+                    f_sender != sender_id
+                    and f_start < done
+                    and start < f_end
+                    and math.hypot(rx - f_x, ry - f_y) <= reach
+                    for f_start, f_end, f_sender, f_x, f_y in flights
+                )
+            )
+        return flags
 
 
 @contextmanager
@@ -158,6 +155,15 @@ class FakeStation:
 def contended_medium(sim, reference=False, loss_rate=0.0):
     with reference_paths(reference):
         return Medium(sim, loss_rate=loss_rate, contention=ContentionSpec())
+
+
+def interfered(state, sender_id, channel, rx, ry, start, done, distance):
+    """One receiver's hidden-terminal check, as a one-row
+    :meth:`~repro.sim.contention.ContentionState.interfered_rows` call."""
+    (hit,) = state.interfered_rows(
+        sender_id, channel, [(0, None, -50.0, False, rx, ry, distance)], start, done
+    )
+    return hit
 
 
 def record_flights(reference, flights):
@@ -233,8 +239,8 @@ class TestInterferenceEquivalence:
 
     def _agree(self, states, sender_id, channel, rx, ry, start, done, distance):
         reference, state = states
-        a = reference.interfered(sender_id, channel, rx, ry, start, done, distance)
-        b = state.interfered(sender_id, channel, rx, ry, start, done, distance)
+        a = interfered(reference, sender_id, channel, rx, ry, start, done, distance)
+        b = interfered(state, sender_id, channel, rx, ry, start, done, distance)
         assert a == b, (rx, ry, distance)
         return a
 
@@ -272,11 +278,13 @@ class TestInterferenceEquivalence:
         flights = [(0.0, 0.001, f"f{i}", 200.0 + 3.0 * i, 0.0) for i in range(16)]
         reference, state = self._states(flights)
         for rx in (200.0, 230.0, 260.0, 290.0):
-            a = reference.interfered("s", 1, rx, 0.0, 0.0, 0.0005, 38.0)
-            b = state.interfered("s", 1, rx, 0.0, 0.0, 0.0005, 38.0)
+            a = interfered(reference, "s", 1, rx, 0.0, 0.0, 0.0005, 38.0)
+            b = interfered(state, "s", 1, rx, 0.0, 0.0, 0.0005, 38.0)
             assert a == b, rx
 
     def test_interfered_rows_matches_single_calls(self):
+        """Five rows in one batched call: the state's per-cell memo must
+        give each row the oracle's row-by-row answer."""
         flights = [(0.0, 0.001, f"f{i}", 200.0 + 3.0 * i, 0.0) for i in range(16)]
         rows = [
             (i, None, -50.0, False, rx, 0.0, d)
@@ -284,17 +292,11 @@ class TestInterferenceEquivalence:
                 [(205.0, 10.0), (230.0, 38.0), (260.0, 38.0), (295.0, 90.0), (290.0, 4.0)]
             )
         ]
-        answers = []
-        for state in self._states(flights):
-            batched = state.interfered_rows("s", 1, rows, 0.0, 0.0005)
-            singles = [
-                state.interfered("s", 1, r[4], r[5], 0.0, 0.0005, r[6])
-                for r in rows
-            ]
-            assert batched == singles
-            answers.append(batched)
-        assert answers[0] == answers[1]
-        assert True in answers[0] and False in answers[0]
+        reference, state = (
+            s.interfered_rows("s", 1, rows, 0.0, 0.0005) for s in self._states(flights)
+        )
+        assert reference == state
+        assert True in reference and False in reference
 
 
 class TestForeignHorizonGate:
@@ -309,8 +311,8 @@ class TestForeignHorizonGate:
 
     def _agree(self, flights, start, done, rx=RX, distance=70.0, channel=1):
         reference, state = (record_flights(ref, flights) for ref in (True, False))
-        a = reference.interfered("s", channel, rx[0], rx[1], start, done, distance)
-        b = state.interfered("s", channel, rx[0], rx[1], start, done, distance)
+        a = interfered(reference, "s", channel, rx[0], rx[1], start, done, distance)
+        b = interfered(state, "s", channel, rx[0], rx[1], start, done, distance)
         assert a == b, (flights, start, done, rx)
         return a, state
 
