@@ -8,7 +8,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.obs.telemetry import Telemetry
 from repro.sim.engine import PeriodicProcess, Simulator
+
+
+def make_sim(profiled: bool, seed: int = 1234) -> Simulator:
+    return Simulator(seed=seed, telemetry=Telemetry(enabled=True) if profiled else None)
+
+
+@pytest.fixture
+def sim(request):
+    """The simulator under test: plain, or with telemetry on in the
+    ``*Profiled`` twins at the end of this module, whose every event then
+    goes through the wrapped ``schedule_at``/``schedule_fire``."""
+    return make_sim(getattr(request.instance, "profiled", False))
 
 
 class TestScheduling:
@@ -225,10 +238,11 @@ class TestDeterminismProperty:
             st.floats(min_value=0.0, max_value=100.0, allow_nan=False),
             min_size=1,
             max_size=30,
-        )
+        ),
+        profiled=st.booleans(),
     )
-    def test_execution_order_is_sorted_and_stable(self, delays):
-        sim = Simulator(seed=0)
+    def test_execution_order_is_sorted_and_stable(self, delays, profiled):
+        sim = make_sim(profiled, seed=0)
         fired = []
         for index, delay in enumerate(delays):
             sim.schedule(delay, lambda i=index, d=delay: fired.append((d, i)))
@@ -237,55 +251,12 @@ class TestDeterminismProperty:
         assert len(fired) == len(delays)
 
 
-class TestTupleHeapProperties:
-    """Properties the tuple-heap rewrite must preserve."""
+class HeapBookkeeping:
+    """Cancellation and compaction cases of the tuple heap, collected
+    plain through :class:`TestTupleHeapProperties` and with telemetry on
+    through :class:`TestHeapBookkeepingProfiled`."""
 
-    @settings(max_examples=30, deadline=None)
-    @given(
-        times=st.lists(
-            st.sampled_from([0.5, 1.0, 1.5, 2.0]), min_size=1, max_size=40
-        )
-    )
-    def test_fifo_among_simultaneous_events(self, times):
-        """Events at equal times fire in scheduling order (stable ties)."""
-        sim = Simulator(seed=0)
-        fired = []
-        for index, time in enumerate(times):
-            sim.schedule(time, lambda t=time, i=index: fired.append((t, i)))
-        sim.run()
-        expected = sorted(
-            ((t, i) for i, t in enumerate(times)), key=lambda pair: pair
-        )
-        assert fired == expected
-
-    @settings(max_examples=30, deadline=None)
-    @given(
-        plan=st.lists(
-            st.tuples(
-                st.floats(min_value=0.0, max_value=50.0, allow_nan=False),
-                st.booleans(),
-            ),
-            min_size=1,
-            max_size=60,
-        )
-    )
-    def test_pending_count_matches_naive_scan(self, plan):
-        """The O(1) live counter agrees with a full queue scan."""
-        sim = Simulator(seed=0)
-        handles = []
-        for delay, cancel in plan:
-            handle = sim.schedule(delay, lambda: None)
-            handles.append(handle)
-            if cancel:
-                handle.cancel()
-        live = sum(1 for h in handles if h.pending)
-        assert sim.pending_events() == live
-        sim.run(until=25.0)
-        still_live = sum(1 for h in handles if h.pending)
-        assert sim.pending_events() == still_live
-
-    def test_compaction_drops_cancelled_entries_and_preserves_order(self):
-        sim = Simulator(seed=0)
+    def test_compaction_drops_cancelled_entries_and_preserves_order(self, sim):
         fired = []
         keepers = [
             sim.schedule(10.0 + i, lambda i=i: fired.append(i)) for i in range(10)
@@ -304,8 +275,7 @@ class TestTupleHeapProperties:
         assert fired == list(range(10))
         del keepers
 
-    def test_cancel_is_idempotent_and_counted_once(self):
-        sim = Simulator(seed=0)
+    def test_cancel_is_idempotent_and_counted_once(self, sim):
         handle = sim.schedule(1.0, lambda: None)
         other = sim.schedule(2.0, lambda: None)
         handle.cancel()
@@ -315,17 +285,15 @@ class TestTupleHeapProperties:
         sim.run()
         assert other.fired
 
-    def test_cancel_after_fire_is_noop(self):
-        sim = Simulator(seed=0)
+    def test_cancel_after_fire_is_noop(self, sim):
         handle = sim.schedule(1.0, lambda: None)
         sim.run()
         assert sim.pending_events() == 0
         handle.cancel()
         assert sim.pending_events() == 0
 
-    def test_cancel_inside_callback_respected(self):
+    def test_cancel_inside_callback_respected(self, sim):
         """A callback cancelling a same-time event prevents its firing."""
-        sim = Simulator(seed=0)
         fired = []
         victim = sim.schedule(1.0, lambda: fired.append("victim"))
 
@@ -341,9 +309,8 @@ class TestTupleHeapProperties:
         assert fired == ["victim", "killer"]
         assert early_killer.fired and not later.fired
 
-    def test_compaction_during_run_keeps_schedule_intact(self):
+    def test_compaction_during_run_keeps_schedule_intact(self, sim):
         """Mass cancellation from inside a callback (compaction mid-run)."""
-        sim = Simulator(seed=0)
         fired = []
         doomed = [sim.schedule(50.0, lambda: fired.append("doomed"))
                   for _ in range(300)]
@@ -360,3 +327,131 @@ class TestTupleHeapProperties:
         assert fired == list(range(5))
         assert sim.compactions >= 1
         assert all(h.fired for h in survivors)
+
+
+class TestTupleHeapProperties(HeapBookkeeping):
+    """Properties the tuple-heap rewrite must preserve."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        times=st.lists(
+            st.sampled_from([0.5, 1.0, 1.5, 2.0]), min_size=1, max_size=40
+        ),
+        profiled=st.booleans(),
+    )
+    def test_fifo_among_simultaneous_events(self, times, profiled):
+        """Events at equal times fire in scheduling order (stable ties)."""
+        sim = make_sim(profiled, seed=0)
+        fired = []
+        for index, time in enumerate(times):
+            sim.schedule(time, lambda t=time, i=index: fired.append((t, i)))
+        sim.run()
+        expected = sorted(
+            ((t, i) for i, t in enumerate(times)), key=lambda pair: pair
+        )
+        assert fired == expected
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        plan=st.lists(
+            st.tuples(
+                st.floats(min_value=0.0, max_value=50.0, allow_nan=False),
+                st.booleans(),
+            ),
+            min_size=1,
+            max_size=60,
+        ),
+        profiled=st.booleans(),
+    )
+    def test_pending_count_matches_naive_scan(self, plan, profiled):
+        """The O(1) live counter agrees with a full queue scan."""
+        sim = make_sim(profiled, seed=0)
+        handles = []
+        for delay, cancel in plan:
+            handle = sim.schedule(delay, lambda: None)
+            handles.append(handle)
+            if cancel:
+                handle.cancel()
+        live = sum(1 for h in handles if h.pending)
+        assert sim.pending_events() == live
+        sim.run(until=25.0)
+        still_live = sum(1 for h in handles if h.pending)
+        assert sim.pending_events() == still_live
+
+
+class _Fan:
+    """Callbacks with short qualified names, for the dispatch-count keys."""
+
+    def __init__(self, sim):
+        self.sim = sim
+        self.leaves = []
+
+    def fan_out(self):
+        for t in (2.0, 3.0, 4.0):
+            self.sim.schedule_fire(t, self.leaf, t)
+
+    def leaf(self, t):
+        self.leaves.append(t)
+
+
+class TestProfile:
+    """What an enabled registry records, on a hand-built schedule."""
+
+    def test_heap_depth_and_dispatch_counts(self):
+        tele = Telemetry(enabled=True)
+        sim = Simulator(seed=0, telemetry=tele)
+        fan = _Fan(sim)
+        sim.schedule_at(1.0, fan.fan_out)
+        sim.schedule_at(10.0, fan.leaf, 10.0)
+        sim.schedule_at(5.0, fan.leaf, 5.0).cancel()  # stays in the heap
+        # Entry: 3 entries.  Popping fan_out leaves 2; it pushes 3 leaves
+        # (5 at the last push); popping the first leaf leaves 4, the most
+        # after any pop.  A mark taken at push would read 5.
+        sim.run()
+        assert tele.snapshot().gauge_value("engine.heap_depth")[1] == 4
+        # Six events at entry: after the first pop 5 are left, so only
+        # the entry length reaches 6.
+        for t in range(11, 17):
+            sim.schedule_at(float(t), fan.leaf, float(t))
+        sim.run(until=20.0)
+        snap = tele.snapshot()
+        assert snap.gauge_value("engine.heap_depth")[1] == 6
+        assert fan.leaves == [2.0, 3.0, 4.0, 10.0] + [float(t) for t in range(11, 17)]
+        dispatch = {
+            name: value
+            for name, value in snap.counters
+            if name.startswith("engine.dispatch.")
+        }
+        assert dispatch == {
+            "engine.dispatch._Fan.fan_out": 1,
+            "engine.dispatch._Fan.leaf": 10,
+        }
+        assert snap.counter_value("engine.events") == sim.events_processed == 11
+
+    def test_only_an_enabled_registry_rebinds_scheduling(self):
+        for telemetry in (None, Telemetry(enabled=False)):
+            assert not {"schedule_at", "schedule_fire"} & set(
+                vars(Simulator(seed=0, telemetry=telemetry))
+            )
+        profiled = Simulator(seed=0, telemetry=Telemetry(enabled=True))
+        assert {"schedule_at", "schedule_fire"} <= set(vars(profiled))
+
+
+# The same cases with telemetry on: ordering, cancellation, compaction
+# during a run, the event budget, re-entrancy and periodic processes
+# through the wrapped scheduling path.  (The hypothesis properties draw
+# the path instead: a hypothesis test cannot be inherited by a twin.)
+class TestSchedulingProfiled(TestScheduling):
+    profiled = True
+
+
+class TestCancellationProfiled(TestCancellation):
+    profiled = True
+
+
+class TestPeriodicProcessProfiled(TestPeriodicProcess):
+    profiled = True
+
+
+class TestHeapBookkeepingProfiled(HeapBookkeeping):
+    profiled = True

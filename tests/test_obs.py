@@ -11,11 +11,13 @@ own loss count.
 from __future__ import annotations
 
 import pickle
+from dataclasses import replace
 
 import pytest
 
 from repro.core.schedule import OperationMode
 from repro.experiments.common import run_town_trial
+from repro.experiments.dense_town import run_dense_trial
 from repro.experiments.town_runs import spider_factory
 from repro.obs.export import (
     build_payload,
@@ -380,6 +382,18 @@ class TestIntegration:
             instrumented.join_log.failure_breakdown()
             == base.join_log.failure_breakdown()
         )
+
+    def test_telemetry_never_perturbs_a_contended_run(self):
+        """The contended three-channel fleet of the goldens: wrapping the
+        engine's scheduling and the hidden-terminal scan changes nothing
+        the row reports."""
+        from test_goldens import COMPACT_3CH
+
+        off = run_dense_trial(COMPACT_3CH, seed=0)
+        on = run_dense_trial(COMPACT_3CH, seed=0, telemetry=True)
+        assert off.telemetry is None
+        assert on.telemetry.counter_value("contention.collision_scan") > 0
+        assert replace(on, telemetry=None) == off
 
     def test_join_spans_reconcile_with_join_log(self, trial_pair):
         _, instrumented = trial_pair
