@@ -337,11 +337,10 @@ class _Profiler:
         """Close a ``run()`` that dispatched ``events`` callbacks."""
         wall_s = perf_counter() - self._run_start
         tele = self._tele
-        # Every event is one dispatch, so "engine.events" and
-        # "engine.dispatched" are equal and both reconcile exactly with
-        # Simulator.events_processed.
+        # Every event is one dispatch: "engine.events" reconciles exactly
+        # with Simulator.events_processed and with the sum of the
+        # "engine.dispatch.*" counts.
         tele.counter("engine.events").inc(events)
-        tele.counter("engine.dispatched").inc(events)
         tele.gauge("engine.heap_depth").set_max(self._high_water)
         for kind, count in self._counts.items():
             tele.counter(f"engine.dispatch.{kind}").inc(count)
