@@ -257,8 +257,9 @@ def test_perf_telemetry_overhead(report):
     * ``None``              — the default ``NULL_TELEMETRY`` singleton,
     * ``Telemetry(enabled=False)`` — a real registry, disabled (what a
       ``telemetry=False`` spec constructs),
-    * ``Telemetry(enabled=True)``  — full capture incl. the profiled loop
-      (informational; the enabled path is *allowed* to cost wall time).
+    * ``Telemetry(enabled=True)``  — full capture incl. per-event
+      profiling through the wrapped scheduling methods (informational;
+      the enabled path is *allowed* to cost wall time).
 
     The asserted overhead is the *minimum* of the per-round paired ratios:
     genuine overhead shows up in every round, while container timing noise

@@ -9,12 +9,17 @@ deterministically (same bit-for-bit discipline as the metric merges).
 
 Design constraints, in order of importance:
 
-1. **The disabled path is free.**  ``Simulator`` defaults to the shared
-   :data:`NULL_TELEMETRY` singleton; components cache their instruments at
-   construction time, so a disabled run pays one no-op method call on rare
-   paths and *nothing* on the engine hot loop (the engine checks
-   ``telemetry.enabled`` once per ``run()``, not per event).  The
-   ``telemetry_overhead`` micro-benchmark in ``benchmarks/`` pins this.
+1. **The disabled path is free, and there is only one.**  ``Simulator``
+   defaults to the shared :data:`NULL_TELEMETRY` singleton; components
+   cache their instruments at construction time, so a disabled run pays
+   one no-op method call on rare paths and *nothing* on the engine hot
+   loop.  An enabled registry wraps the code it measures instead of
+   selecting a second copy of it: the simulator rebinds ``schedule_at``
+   and ``schedule_fire`` on the instance so each callback runs through a
+   profiler in the same dispatch loop, and the contention state wraps
+   its one hidden-terminal scan the same way.  The
+   ``telemetry_overhead`` micro-benchmark in ``benchmarks/`` pins the
+   disabled path.
 2. **Determinism.**  Instruments and span/event timestamps use *simulated*
    time and never consume RNG or schedule events, so enabling telemetry
    cannot perturb a run.  Wall-clock measurements (engine profiling) are

@@ -56,8 +56,9 @@ SMALL_DENSE = DenseTownSpec(
 CONTENDED_CITY = DenseTownSpec(duration_s=1.0, contention=ContentionSpec())
 
 #: The ``fleet_transfer`` shape: 16 vehicles on a compact city, Spider's
-#: three-channel schedule, CSMA/CA on.  Run without telemetry, so the
-#: contention state takes its unprofiled batched scan.
+#: three-channel schedule, CSMA/CA on.  Run without telemetry, so neither
+#: the engine's scheduling nor the hidden-terminal scan is wrapped: the
+#: default path, as the benchmark workloads run it.
 COMPACT_3CH = DenseTownSpec(
     duration_s=3.0,
     n_vehicles=16,
