@@ -96,9 +96,10 @@ class AccessPoint:
     #: per-channel instead of probing them on every delivery.
     is_static = True
 
-    #: ``on_frame`` returns immediately for beacons (see below), so the
-    #: vectorized medium may skip the call outright on beacon deliveries —
-    #: loss draws, counters, and delivery hooks still run.
+    #: ``on_frame`` returns immediately for beacons (see below), so an AP
+    #: is no beacon's receiver: the medium leaves it out of every beacon's
+    #: receivers, with no loss draw, hidden-terminal screen, ``frames_*``
+    #: count or delivery-hook call for it.
     ignores_beacons = True
 
     #: ``accepts`` matches the BSSID and nothing else, which lets the
@@ -283,8 +284,8 @@ class AccessPoint:
         """Handle one received frame."""
         kind = frame.kind
         if kind is FrameKind.BEACON:
-            # Neighbouring APs' beacons are by far the most common frame an
-            # AP hears; they carry nothing an AP acts on.
+            # A neighbouring AP's beacon carries nothing an AP acts on (the
+            # medium does not deliver one: see ``ignores_beacons``).
             return
         if kind is FrameKind.PROBE_REQUEST:
             self._reply(

@@ -551,8 +551,8 @@ class ContentionState:
         """Receiver-side hidden-terminal checks with physical capture, one
         flag per survivor of a delivery.
 
-        ``rows`` are the medium's survivor 7-tuples ``(seq, station,
-        rssi, ignores_beacons, rx, ry, distance)``.  A row's flag is True
+        ``rows`` are the medium's survivor 6-tuples ``(seq, station,
+        rssi, rx, ry, distance)``.  A row's flag is True
         if a foreign flight overlapped ``[start, done)`` close enough to
         the receiver at ``(rx, ry)`` to actually damage it: the
         interferer must be within radio range *and* within
@@ -581,8 +581,8 @@ class ContentionState:
         last_x = last_y = None
         pts = None
         for row in rows:
-            rx = row[4]
-            ry = row[5]
+            rx = row[3]
+            ry = row[4]
             cell_x = int(rx // bin_m)
             cell_y = int(ry // bin_m)
             if cell_x != last_x or cell_y != last_y:
@@ -595,7 +595,7 @@ class ContentionState:
                 )
             hit = False
             if pts:
-                capture = ratio * row[6]
+                capture = ratio * row[5]
                 reach = range_m if capture > range_m else capture
                 for f_x, f_y in pts:
                     if hypot(rx - f_x, ry - f_y) <= reach:

@@ -4,19 +4,21 @@ Every delivery in :mod:`repro.sim.radio`, on every world size and with or
 without numpy, asks :meth:`VectorIndex.survivors` for its receivers.  The
 answer is exactly what a walk over every registered station would keep —
 not the sender, tuned to the frame's channel, accepting the destination,
-within ``range_m`` by ``math.hypot`` — in registration order, so the loss
-draws the medium takes from its seeded stream line up one-for-one with
-that walk and every trial result is byte-identical.  What the index
-caches, and why each cache stays exact:
+within ``range_m`` by ``math.hypot``, and for a beacon, acting on it (a
+station declaring ``ignores_beacons``, as access points do, is no
+beacon's receiver) — in registration order, so the loss draws the medium
+takes from its seeded stream line up one-for-one with that walk and every
+trial result is byte-identical.  What the index caches, and why each
+cache stays exact:
 
 * **Static stations** (``is_static``: APs, fixed position and channel)
   are binned per channel by spatial cell (edge = ``range_m``), so every
-  in-range static lies in the 3x3 cells around a point.  A broadcast from
-  a static sender — beacons, most frames of any run — resolves to a
-  cached *plan*: the in-range statics in registration order with their
-  RSSI precomputed.  Geometry between statics never changes, so plans
-  (and the merged 3x3 neighbourhoods they are built from) only drop when
-  a station (un)registers.
+  in-range static lies in the 3x3 cells around a point.  A beacon from a
+  static sender — most frames of any run — resolves to a cached *plan*:
+  the in-range statics that act on beacons, in registration order with
+  their RSSI precomputed.  Geometry between statics never changes, so
+  plans (and the merged 3x3 neighbourhoods they are built from) only drop
+  when a station (un)registers.
 * **Unicast to a static** resolves through a BSSID index when every
   static on the channel promises ``accepts_only_own_id`` (true of
   :class:`~repro.sim.ap.AccessPoint`).
@@ -59,7 +61,7 @@ from __future__ import annotations
 import math
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .frames import BROADCAST, Frame
+from .frames import BROADCAST, Frame, FrameKind
 
 try:  # pragma: no cover - both branches run in CI (numpy on and hidden)
     import numpy as _np
@@ -150,21 +152,23 @@ class _ChannelStatics:
         self.near: Dict[Tuple[int, int], List[Tuple]] = {}
         self.by_id: Dict[str, Tuple] = {}
         self.all_own_id = True
-        #: Broadcast plans, keyed by static sender id.
+        #: Beacon plans, keyed by static sender id.
         self.plans: Dict[str, "_Plan"] = {}
 
 
 class _Plan:
-    """A static sender's broadcast receivers, exact until an (un)register."""
+    """A static sender's beacon receivers, exact until an (un)register."""
 
     __slots__ = ("rows", "horizons", "next_check")
 
     def __init__(self, rows: List[Tuple], n_mobiles: int) -> None:
-        #: The in-range statics as survivor rows, in registration order.
+        #: The in-range statics that act on beacons, as survivor rows in
+        #: registration order.
         self.rows = rows
         #: Per mobile, in registration order: the simulated time before
-        #: which that mobile is provably out of this sender's range.
-        #: Allocated on first use; fleets on the snapshot never need it.
+        #: which that mobile is provably out of this sender's range
+        #: (``inf`` for a mobile that ignores beacons).  Allocated on
+        #: first use; fleets on the snapshot never need it.
         self.horizons: Optional[List[float]] = None
         #: The earliest horizon: until then no mobile can hear the sender.
         self.next_check = -math.inf if n_mobiles else math.inf
@@ -199,7 +203,10 @@ class VectorIndex:
         self._sim = medium.sim
         self._np = _np
         self._bin_m = medium._bin_m
-        self._next_seq = 0
+        #: Stations registered so far: the next one gets this sequence
+        #: number, so a station registered after the counter read ``n``
+        #: is exactly one with ``seq >= n``.
+        self.registrations = 0
         self._chan: Dict[int, _ChannelStatics] = {}
         #: Static station id -> the channel it is binned under.
         self._static_channel: Dict[str, int] = {}
@@ -216,8 +223,8 @@ class VectorIndex:
     def add(self, station) -> None:
         """Index a newly registered station."""
         sid = station.station_id
-        seq = self._next_seq
-        self._next_seq += 1
+        seq = self.registrations
+        self.registrations += 1
         ignores = bool(getattr(station, "ignores_beacons", False))
         channel = station.tuned_channel()
         if getattr(station, "is_static", False) and channel is not None:
@@ -270,28 +277,31 @@ class VectorIndex:
     ) -> List[Tuple]:
         """Exact receivers of ``frame``, in registration order.
 
-        Each element is ``(seq, station, rssi, ignores_beacons, rx, ry,
-        distance)``; every listed station is not the sender, is tuned to
-        the frame's channel, accepts its destination and lies within
-        range by the exact ``hypot`` distance.  ``(rx, ry)`` is the
-        receiver position and ``distance`` the distance the RSSI came
-        from — the contended delivery tail feeds both to the
-        receiver-side interference check.  The list may be a cached
-        plan's: callers must not mutate it.
+        Each element is ``(seq, station, rssi, rx, ry, distance)``; every
+        listed station is not the sender, is tuned to the frame's
+        channel, accepts its destination, lies within range by the exact
+        ``hypot`` distance and, if the frame is a beacon, does not declare
+        ``ignores_beacons``.  ``(rx, ry)`` is the receiver position and
+        ``distance`` the distance the RSSI came from — the contended
+        delivery tail feeds both to the receiver-side interference check.
+        The list may be a cached plan's: callers must not mutate it.
         """
         channel = frame.channel
         cs = self._chan.get(channel)
         dst = frame.dst
+        beacon = frame.kind is FrameKind.BEACON
         if dst == BROADCAST:
             dst = None
-            plan = None if cs is None else cs.plans.get(sender_id)
-            if plan is None and cs is not None and sender_id in cs.by_id:
-                plan = cs.plans[sender_id] = _Plan(
-                    self._static_rows(self._near(cs, sx, sy), sender_id, None, sx, sy),
-                    len(self._mob),
-                )
-            if plan is not None:
-                # A static sender's broadcast: the hot case by far.
+            if beacon and cs is not None and sender_id in cs.by_id:
+                # A static sender's beacon: the hot case by far.
+                plan = cs.plans.get(sender_id)
+                if plan is None:
+                    plan = cs.plans[sender_id] = _Plan(
+                        self._static_rows(
+                            self._near(cs, sx, sy), sender_id, None, True, sx, sy
+                        ),
+                        len(self._mob),
+                    )
                 if self._sim.now < plan.next_check:
                     return plan.rows
                 snap = self._snapshot() if self._snapshots else None
@@ -303,6 +313,7 @@ class VectorIndex:
                         sender_id,
                         channel,
                         None,
+                        True,
                         sx,
                         sy,
                     )
@@ -310,11 +321,15 @@ class VectorIndex:
             stat = (
                 []
                 if cs is None
-                else self._static_rows(self._near(cs, sx, sy), sender_id, None, sx, sy)
+                else self._static_rows(
+                    self._near(cs, sx, sy), sender_id, None, beacon, sx, sy
+                )
             )
         else:
             stat = (
-                [] if cs is None else self._unicast_statics(cs, sender_id, dst, sx, sy)
+                []
+                if cs is None
+                else self._unicast_statics(cs, sender_id, dst, beacon, sx, sy)
             )
         mob = self._mob
         if not mob:
@@ -322,7 +337,9 @@ class VectorIndex:
         snap = self._snapshot() if self._snapshots else None
         if snap is not None:
             mob = self._prune_mobiles(snap, sender_id, sx, sy)
-        return _merge(stat, self._scan_mobiles(mob, sender_id, channel, dst, sx, sy))
+        return _merge(
+            stat, self._scan_mobiles(mob, sender_id, channel, dst, beacon, sx, sy)
+        )
 
     # ------------------------------------------------------------------
     # Static side
@@ -349,6 +366,7 @@ class VectorIndex:
         entries: List[Tuple],
         sender_id: str,
         dst: Optional[str],
+        beacon: bool,
         sx: float,
         sy: float,
     ) -> List[Tuple]:
@@ -356,27 +374,33 @@ class VectorIndex:
         hypot = math.hypot
         out: List[Tuple] = []
         for seq, station, x, y, ignores in entries:
-            if station.station_id == sender_id:
+            if station.station_id == sender_id or (beacon and ignores):
                 continue
             if dst is not None and not station.accepts(dst):
                 continue
             distance = hypot(sx - x, sy - y)
             if distance > range_m:
                 continue
-            out.append(
-                (seq, station, rssi_from_distance(distance), ignores, x, y, distance)
-            )
+            out.append((seq, station, rssi_from_distance(distance), x, y, distance))
         return out
 
     def _unicast_statics(
-        self, cs: _ChannelStatics, sender_id: str, dst: str, sx: float, sy: float
+        self,
+        cs: _ChannelStatics,
+        sender_id: str,
+        dst: str,
+        beacon: bool,
+        sx: float,
+        sy: float,
     ) -> List[Tuple]:
         if not cs.all_own_id:
-            return self._static_rows(self._near(cs, sx, sy), sender_id, dst, sx, sy)
+            return self._static_rows(
+                self._near(cs, sx, sy), sender_id, dst, beacon, sx, sy
+            )
         entry = cs.by_id.get(dst)
         if entry is None:
             return []
-        return self._static_rows((entry,), sender_id, None, sx, sy)
+        return self._static_rows((entry,), sender_id, None, beacon, sx, sy)
 
     # ------------------------------------------------------------------
     # Mobile side
@@ -384,21 +408,25 @@ class VectorIndex:
     def _beyond_horizons(
         self, plan: _Plan, channel: int, sx: float, sy: float
     ) -> List[Tuple]:
-        """Mobile receivers of a static sender's broadcast, via horizons.
+        """Mobile receivers of a static sender's beacon, via horizons.
 
         A mobile whose horizon has not passed is skipped without a
-        position read.  A mobile found out of range gets a new horizon
-        from its distance and declared speed bound, whatever channel it
-        is tuned to; one without a bound keeps a horizon of ``-inf`` and
-        is checked on every frame.
+        position read; one that ignores beacons has an infinite horizon.
+        A mobile found out of range gets a new horizon from its distance
+        and declared speed bound, whatever channel it is tuned to; one
+        without a bound keeps a horizon of ``-inf`` and is checked on
+        every frame.
         """
         now = self._sim.now
         range_m = self._medium.range_m
         horizons = plan.horizons
         if horizons is None:
-            horizons = plan.horizons = [-math.inf] * len(self._mob)
+            horizons = plan.horizons = [
+                math.inf if ignores else -math.inf
+                for _station, _seq, _v_max, ignores in self._mob
+            ]
         out: List[Tuple] = []
-        for i, (station, seq, v_max, ignores) in enumerate(self._mob):
+        for i, (station, seq, v_max, _ignores) in enumerate(self._mob):
             if now < horizons[i]:
                 continue
             rx, ry = station.position()
@@ -410,9 +438,7 @@ class VectorIndex:
                 continue
             if station.tuned_channel() != channel:
                 continue
-            out.append(
-                (seq, station, rssi_from_distance(distance), ignores, rx, ry, distance)
-            )
+            out.append((seq, station, rssi_from_distance(distance), rx, ry, distance))
         plan.next_check = min(horizons)
         return out
 
@@ -422,6 +448,7 @@ class VectorIndex:
         sender_id: str,
         channel: int,
         dst: Optional[str],
+        beacon: bool,
         sx: float,
         sy: float,
     ) -> List[Tuple]:
@@ -429,7 +456,7 @@ class VectorIndex:
         hypot = math.hypot
         out: List[Tuple] = []
         for station, seq, _v_max, ignores in candidates:
-            if station.station_id == sender_id:
+            if station.station_id == sender_id or (beacon and ignores):
                 continue
             if station.tuned_channel() != channel:
                 continue
@@ -439,9 +466,7 @@ class VectorIndex:
             distance = hypot(sx - rx, sy - ry)
             if distance > range_m:
                 continue
-            out.append(
-                (seq, station, rssi_from_distance(distance), ignores, rx, ry, distance)
-            )
+            out.append((seq, station, rssi_from_distance(distance), rx, ry, distance))
         return out
 
     def _prune_mobiles(

@@ -99,6 +99,13 @@ class Station(Protocol):
     (true of access points).  The medium indexes static stations by channel
     and coarse spatial bin so delivery never iterates the whole town.
 
+    A station that never acts on a beacon declares ``ignores_beacons =
+    True`` (access points do): it is then no beacon's receiver — it gets
+    no loss draw, no hidden-terminal screen, no ``frames_*`` count and no
+    delivery-hook call for one.  Receivers are fixed when a frame is sent
+    in one respect too: a station hears only frames transmitted after it
+    registered.
+
     A station may also declare ``max_speed_mps``, read when it registers:
     a finite bound on how fast its position can change (Euclidean
     displacement over ``dt`` never exceeds ``max_speed_mps * dt``).  The
@@ -186,14 +193,16 @@ class Medium:
         # cells around the sender.
         self._bin_m = max(range_m, 1.0)
         # Global-FIFO delivery lanes: each channel's undelivered frames in
-        # transmit order, as (deliver_at, sender_id, frame).  Every frame
+        # transmit order, as (deliver_at, sender_id, frame, registrations):
+        # the last is the index's registration counter when the frame was
+        # sent (see _hearers).  Every frame
         # is delivered by its own engine event, but only the head of a
         # lane has one in the heap (exactly when the lane is non-empty);
         # the next is scheduled as the head is delivered.  A saturated
         # channel's backlog (~84,000 frames after 10 s of the 250-vehicle
         # city) so costs one deque entry per frame, not a heap entry.
-        self._lanes: Dict[int, Deque[Tuple[float, str, Frame]]] = defaultdict(
-            deque
+        self._lanes: Dict[int, Deque[Tuple[float, str, Frame, int]]] = (
+            defaultdict(deque)
         )
         #: Optional observers called as fn(frame, receiver_id) on delivery.
         self.delivery_hooks: List[Callable[[Frame, str], None]] = []
@@ -411,7 +420,8 @@ class Medium:
         starts when the channel frees up.  Delivery (including the
         in-range and tuned checks) happens at completion time, so
         stations that moved away or retuned mid-flight miss the frame —
-        exactly the hazard the join model studies.
+        exactly the hazard the join model studies — and so do stations
+        that registered mid-flight.
 
         Each frame's delivery is its own engine event.  The event of a
         frame queued in its channel's lane behind an undelivered frame is
@@ -490,7 +500,7 @@ class Medium:
         lane = self._lanes[channel]
         if not lane:
             self.sim.schedule_fire(deliver_at, self._deliver, channel)
-        lane.append((deliver_at, sender.station_id, frame))
+        lane.append((deliver_at, sender.station_id, frame, self._vec.registrations))
         return done
 
     def _transmit_contended(
@@ -558,6 +568,7 @@ class Medium:
             frame,
             start,
             done,
+            self._vec.registrations,
         )
         return done
 
@@ -604,7 +615,12 @@ class Medium:
         self._transmit_contended(sender, queue.popleft(), self.sim.now)
 
     def _deliver_contended(
-        self, sender_id: str, frame: Frame, start: float, done: float
+        self,
+        sender_id: str,
+        frame: Frame,
+        start: float,
+        done: float,
+        registrations: int,
     ) -> None:
         """Delivery tail for the contention path: :meth:`_deliver` plus
         the receiver-side hidden-terminal check.
@@ -629,12 +645,10 @@ class Medium:
         contention = self.contention
         channel = frame.channel
         broadcast = frame.dst == BROADCAST
-        sx, sy = sender.position()
-        survivors = self._vec.survivors(sender_id, frame, sx, sy)
+        survivors = self._hearers(sender, frame, registrations)
         loss_p = self._effective_loss(frame)
         rng_random = self._rng.random
         hooks = self.delivery_hooks
-        beacon = frame.kind is FrameKind.BEACON
         # Flags are precomputed per delivery (one batched state call):
         # they consume no randomness and mid-delivery bookings can never
         # overlap this delivery, so the early evaluation is invisible to
@@ -646,9 +660,7 @@ class Medium:
         )
         receiver_reachable = False
         interfered_any = False
-        for hit, (_seq, station, rssi, ignores_beacons, _rx, _ry, _dist) in zip(
-            wiped, survivors
-        ):
+        for hit, (_seq, station, rssi, _rx, _ry, _dist) in zip(wiped, survivors):
             if hit:
                 interfered_any = True
                 continue
@@ -660,8 +672,6 @@ class Medium:
             self.frames_delivered += 1
             for hook in hooks:
                 hook(frame, station.station_id)
-            if beacon and ignores_beacons:
-                continue
             station.on_frame(frame, rssi)
         if interfered_any:
             self.frames_collided += 1
@@ -674,6 +684,22 @@ class Medium:
                 failed(frame)
         self._advance_tx_queue(sender_id)
 
+    def _hearers(self, sender: Station, frame: Frame, registrations: int):
+        """The frame's receivers, as :meth:`VectorIndex.survivors` rows.
+
+        ``registrations`` is the index's registration counter when the
+        frame was sent.  A station that registered since then (sequence
+        number at or past it) hears only later frames; the filter runs
+        only when some station did register, so it costs one comparison
+        on every other delivery.
+        """
+        vec = self._vec
+        sx, sy = sender.position()
+        rows = vec.survivors(sender.station_id, frame, sx, sy)
+        if registrations != vec.registrations:
+            rows = [row for row in rows if row[0] < registrations]
+        return rows
+
     def _deliver(self, channel: int) -> None:
         """Hand the head of ``channel``'s lane to its receivers.
 
@@ -682,26 +708,22 @@ class Medium:
         next frame in the lane, before any receiver callback runs, so
         that frame's event precedes whatever this delivery schedules for
         the same instant.
-        :meth:`VectorIndex.survivors` resolves the receivers, in
-        registration order; each takes one loss draw from the
-        ``medium.loss`` stream, interleaved with the receiver callbacks.
-        A frame nobody hears returns before the loss rate is read: it
-        draws nothing, and a bursty-loss chain's state is a function of
-        time on its own stream (the fault injector advances it to the end
-        of its window), so skipping the query changes no later draw.  Beacon
-        deliveries to stations declaring ``ignores_beacons`` skip the
-        no-op ``on_frame`` call — counters, hooks and the loss draw still
-        happen, keeping every observable identical.
+        :meth:`_hearers` resolves the receivers, in registration order;
+        each takes one loss draw from the ``medium.loss`` stream,
+        interleaved with the receiver callbacks.  A frame nobody hears
+        returns before the loss rate is read: it draws nothing, and a
+        bursty-loss chain's state is a function of time on its own stream
+        (the fault injector advances it to the end of its window), so
+        skipping the query changes no later draw.
         """
         lane = self._lanes[channel]
-        _, sender_id, frame = lane.popleft()
+        _, sender_id, frame, registrations = lane.popleft()
         if lane:
             self.sim.schedule_fire(lane[0][0], self._deliver, channel)
         sender = self._stations.get(sender_id)
         if sender is None:
             return  # sender vanished mid-flight (e.g., torn down)
-        sx, sy = sender.position()
-        survivors = self._vec.survivors(sender_id, frame, sx, sy)
+        survivors = self._hearers(sender, frame, registrations)
         if not survivors:
             if frame.dst != BROADCAST:
                 # No eligible receiver: the link-layer ACK never comes
@@ -714,17 +736,14 @@ class Medium:
         loss_p = self._effective_loss(frame)
         rng_random = self._rng.random
         hooks = self.delivery_hooks
-        beacon = frame.kind is FrameKind.BEACON
         lost = 0
-        for _seq, station, rssi, ignores_beacons, _rx, _ry, _dist in survivors:
+        for _seq, station, rssi, _rx, _ry, _dist in survivors:
             if rng_random() < loss_p:
                 lost += 1
                 continue
             if hooks:
                 for hook in hooks:
                     hook(frame, station.station_id)
-            if beacon and ignores_beacons:
-                continue
             station.on_frame(frame, rssi)
         self.frames_delivered += len(survivors) - lost
         if lost:

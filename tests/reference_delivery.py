@@ -5,10 +5,9 @@ per frame: every mobile station plus the static stations binned in the
 3x3 cells around the sender, sorted by registration order, each checked
 against the exact predicates — not the sender, tuned to the frame's
 channel (statics are binned by channel), accepting the destination, within
-``range_m`` by ``math.hypot``.  :class:`ReferenceDelivery` is that walk.
-It keeps the index's registration bookkeeping, replaces only
-:meth:`survivors`, and flags no receiver ``ignores_beacons``, so the
-medium runs every receiver callback the way the walk did.
+``range_m`` by ``math.hypot``, and for a beacon, not declaring
+``ignores_beacons``.  :class:`ReferenceDelivery` is that walk.  It keeps
+the index's registration bookkeeping and replaces only :meth:`survivors`.
 
 Tests install it by monkeypatching ``repro.sim.medium_vec.VectorIndex``,
 the name the medium builds its index through (:func:`delivery_path`).
@@ -22,7 +21,7 @@ from contextlib import contextmanager
 import pytest
 
 from repro.sim import medium_vec
-from repro.sim.frames import BROADCAST
+from repro.sim.frames import BROADCAST, FrameKind
 from repro.sim.radio import rssi_from_distance
 
 #: The receiver lookups a medium can be built on: the oracle, the index,
@@ -38,9 +37,11 @@ class ReferenceDelivery(medium_vec.VectorIndex):
         channel = frame.channel
         dst = frame.dst
         broadcast = dst == BROADCAST
+        beacon = frame.kind is FrameKind.BEACON
         range_m = self._medium.range_m
         candidates = [
-            (seq, station, None) for station, seq, _v, _i in self._mobiles.values()
+            (seq, station, None, ignores)
+            for station, seq, _v, ignores in self._mobiles.values()
         ]
         statics = self._chan.get(channel)
         if statics is not None:
@@ -48,12 +49,12 @@ class ReferenceDelivery(medium_vec.VectorIndex):
             by = int(sy // self._bin_m)
             for cx in (bx - 1, bx, bx + 1):
                 for cy in (by - 1, by, by + 1):
-                    for seq, station, x, y, _ignores in statics.bins.get((cx, cy), ()):
-                        candidates.append((seq, station, (x, y)))
+                    for seq, station, x, y, ignores in statics.bins.get((cx, cy), ()):
+                        candidates.append((seq, station, (x, y), ignores))
         candidates.sort(key=lambda candidate: candidate[0])
         rows = []
-        for seq, station, static_pos in candidates:
-            if station.station_id == sender_id:
+        for seq, station, static_pos, ignores in candidates:
+            if station.station_id == sender_id or (beacon and ignores):
                 continue
             if static_pos is None:
                 if station.tuned_channel() != channel:
@@ -68,9 +69,7 @@ class ReferenceDelivery(medium_vec.VectorIndex):
             distance = math.hypot(sx - rx, sy - ry)
             if distance > range_m:
                 continue
-            rows.append(
-                (seq, station, rssi_from_distance(distance), False, rx, ry, distance)
-            )
+            rows.append((seq, station, rssi_from_distance(distance), rx, ry, distance))
         return rows
 
 

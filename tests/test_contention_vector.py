@@ -97,9 +97,9 @@ class ReferenceContentionState(ContentionState):
         bin_m = self._bin_m
         flags = []
         for row in rows:
-            rx, ry = row[4], row[5]
+            rx, ry = row[3], row[4]
             flights = self._covering.get((channel, int(rx // bin_m), int(ry // bin_m)), ())
-            reach = min(self.medium.range_m, self.spec.capture_ratio * row[6])
+            reach = min(self.medium.range_m, self.spec.capture_ratio * row[5])
             flags.append(
                 any(
                     f_sender != sender_id
@@ -161,7 +161,7 @@ def interfered(state, sender_id, channel, rx, ry, start, done, distance):
     """One receiver's hidden-terminal check, as a one-row
     :meth:`~repro.sim.contention.ContentionState.interfered_rows` call."""
     (hit,) = state.interfered_rows(
-        sender_id, channel, [(0, None, -50.0, False, rx, ry, distance)], start, done
+        sender_id, channel, [(0, None, -50.0, rx, ry, distance)], start, done
     )
     return hit
 
@@ -287,7 +287,7 @@ class TestInterferenceEquivalence:
         give each row the oracle's row-by-row answer."""
         flights = [(0.0, 0.001, f"f{i}", 200.0 + 3.0 * i, 0.0) for i in range(16)]
         rows = [
-            (i, None, -50.0, False, rx, 0.0, d)
+            (i, None, -50.0, rx, 0.0, d)
             for i, (rx, d) in enumerate(
                 [(205.0, 10.0), (230.0, 38.0), (260.0, 38.0), (295.0, 90.0), (290.0, 4.0)]
             )
@@ -372,7 +372,7 @@ class TestForeignHorizonGate:
         # A channel nobody booked has no grid at all.
         hit, _ = self._agree(flights, 0.0, 0.0008, rx=(760.0, 0.0), channel=6)
         assert hit is False
-        rows = [(0, None, -50.0, False, 760.0, 0.0, 40.0)]
+        rows = [(0, None, -50.0, 760.0, 0.0, 40.0)]
         for ref in (True, False):
             state = record_flights(ref, flights)
             assert state.interfered_rows("s", 6, rows, 0.0, 0.0008) == [False]

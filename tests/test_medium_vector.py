@@ -29,7 +29,7 @@ from repro.obs.telemetry import Telemetry
 from repro.sim import medium_vec
 from repro.sim.engine import PeriodicProcess, Simulator
 from repro.sim.faults import ApFlap, FaultPlan
-from repro.sim.frames import BROADCAST, Frame, FrameKind
+from repro.sim.frames import BROADCAST, MGMT_FRAME_BYTES, Frame, FrameKind
 from repro.sim.medium_vec import SNAPSHOT_MIN_MOBILES, VectorIndex, argsort_scan
 from repro.sim.mobility import (
     LinearMobility,
@@ -38,8 +38,9 @@ from repro.sim.mobility import (
     VariableSpeedLoopMobility,
 )
 from repro.sim.nic import WifiNic
+from repro.sim.contention import ContentionSpec
 from repro.sim.radio import Medium
-from repro.sim.world import World
+from repro.sim.world import StackSpec, World
 
 
 class RecordingStation:
@@ -567,29 +568,54 @@ class TestPlanInvalidation:
         )
         return sim, world, heard
 
+    def _observer(self, sim, world, channel):
+        """A parked NIC between the test's APs: APs hear no beacon, so a
+        mobile observes what each AP sends and which channel it is on."""
+        return WifiNic(
+            sim, world.medium, StaticPosition(25.0, 0.0), "veh", initial_channel=channel
+        )
+
+    def _uplink(self, sim, world, nic, ap):
+        """Send one unicast data frame from ``nic`` to ``ap`` and deliver it."""
+        frame = data_frame(nic.station_id, ap.bssid, channel=nic.tuned_channel())
+        world.medium.transmit(nic, frame)
+        sim.run(until=sim.now + 0.01)
+
     def test_ap_retune(self):
         sim, world, heard = self._world()
         a = world.add_ap(channel=1, position=(0.0, 0.0))
         b = world.add_ap(channel=6, position=(50.0, 0.0))
+        veh = self._observer(sim, world, channel=1)
         sim.run(until=1.0)
-        assert (a.bssid, b.bssid) not in heard
+        self._uplink(sim, world, veh, b)
+        assert (a.bssid, "veh") in heard
+        assert (b.bssid, "veh") not in heard and ("veh", b.bssid) not in heard
         b.retune(1)
         sim.run(until=2.0)
-        assert (a.bssid, b.bssid) in heard and (b.bssid, a.bssid) in heard
+        self._uplink(sim, world, veh, b)
+        assert (b.bssid, "veh") in heard and ("veh", b.bssid) in heard
+        assert {receiver for _src, receiver in heard} == {"veh", b.bssid}
 
     def test_ap_fail_and_recover(self):
         sim, world, heard = self._world()
         a = world.add_ap(channel=1, position=(0.0, 0.0))
         b = world.add_ap(channel=1, position=(50.0, 0.0))
+        veh = self._observer(sim, world, channel=1)
         sim.run(until=1.0)
-        assert (a.bssid, b.bssid) in heard
+        self._uplink(sim, world, veh, b)
+        assert (b.bssid, "veh") in heard and ("veh", b.bssid) in heard
         b.fail()
         heard.clear()
         sim.run(until=2.0)
-        assert heard == []
+        self._uplink(sim, world, veh, b)
+        assert (a.bssid, "veh") in heard
+        assert (b.bssid, "veh") not in heard and ("veh", b.bssid) not in heard
         b.recover()
+        heard.clear()
         sim.run(until=3.0)
-        assert (a.bssid, b.bssid) in heard and (b.bssid, a.bssid) in heard
+        self._uplink(sim, world, veh, b)
+        assert (b.bssid, "veh") in heard and ("veh", b.bssid) in heard
+        assert {receiver for _src, receiver in heard} == {"veh", b.bssid}
 
     def test_nic_registering_mid_run(self):
         """A plan built with no mobiles must not keep a late NIC deaf."""
@@ -613,6 +639,107 @@ class TestPlanInvalidation:
             traces[path] = near.received
         assert traces["reference"]
         assert traces["index"] == traces["index-no-numpy"] == traces["reference"]
+
+
+class TestBeaconReceivers:
+    """A beacon's receivers are the stations that act on it: an access
+    point hearing another AP's beacon gets no loss draw, no counter, no
+    hook call and, under contention, no hidden-terminal screen."""
+
+    SEED = 11
+
+    def _world(self, contention):
+        sim = Simulator(seed=self.SEED)
+        stack = StackSpec(contention=ContentionSpec(enabled=contention))
+        world = World(sim, loss_rate=0.3, stack=stack)
+        heard = []
+        world.medium.delivery_hooks.append(
+            lambda frame, receiver: heard.append((frame.src, receiver))
+        )
+        return sim, world, heard
+
+    def _assert_unheard(self, sim, medium, heard):
+        assert heard == []
+        assert (medium.frames_delivered, medium.frames_lost) == (0, 0)
+        assert medium.frames_collided == 0
+        fresh = Simulator(seed=self.SEED).rng("medium.loss")
+        assert medium._rng.random() == fresh.random()
+
+    def test_fifo_aps_in_range(self):
+        sim, world, heard = self._world(contention=False)
+        world.add_ap(channel=1, position=(0.0, 0.0))
+        world.add_ap(channel=1, position=(50.0, 0.0))
+        sim.run(until=2.0)
+        assert world.medium.frames_sent >= 38  # both beaconed all along
+        self._assert_unheard(sim, world.medium, heard)
+
+    def test_contended_aps_overlapping_at_an_ap(self):
+        """Two hidden APs (no common carrier-sense cell) beacon at once;
+        the AP between them is in range and capture distance of both.  A
+        lone beacon first, then the overlapping pair."""
+        sim, world, heard = self._world(contention=True)
+        aps = [
+            world.add_ap(channel=1, position=(x, 0.0)) for x in (90.0, 150.0, 210.0)
+        ]
+        for ap in aps:
+            ap.stop()
+        beacons = {
+            ap.bssid: Frame(
+                kind=FrameKind.BEACON,
+                src=ap.bssid,
+                dst=BROADCAST,
+                size=MGMT_FRAME_BYTES,
+                channel=1,
+                bssid=ap.bssid,
+            )
+            for ap in aps
+        }
+        medium = world.medium
+        left, _middle, right = aps
+        sim.schedule_at(0.5, medium.transmit, left, beacons[left.bssid])
+        for ap in (left, right):
+            sim.schedule_at(1.0, medium.transmit, ap, beacons[ap.bssid])
+        sim.run(until=2.0)
+        assert medium.frames_sent == 3
+        assert medium.contention.grants == 3
+        self._assert_unheard(sim, medium, heard)
+
+
+class TestRegistrationWindow:
+    """A station hears only frames transmitted after it registered."""
+
+    @pytest.mark.parametrize("contention", [False, True])
+    @pytest.mark.parametrize("path", PATHS)
+    def test_registering_while_a_beacon_is_in_flight(self, path, contention):
+        """``early`` registers just before a beacon is sent and hears it;
+        ``late`` registers just after, in the same instant, and hears only
+        the next one.  The beacon before them builds the sender's plan,
+        with no receiver at all."""
+        sim = Simulator(seed=3)
+        spec = ContentionSpec(enabled=contention)
+        with delivery_path(path):
+            medium = Medium(sim, loss_rate=0.0, contention=spec)
+        ap = StaticStation("ap")
+        early = RecordingStation("early", x=30.0)
+        late = RecordingStation("late", x=40.0)
+        for station in (ap, early, late):
+            station.sim = sim
+        medium.register(ap)
+        medium.transmit(ap, mgmt_frame("ap", BROADCAST))
+        sim.run(until=0.5)
+
+        def send_between_registrations():
+            medium.register(early)
+            medium.transmit(ap, mgmt_frame("ap", BROADCAST))
+            medium.register(late)
+
+        sim.schedule_at(0.5, send_between_registrations)
+        sim.run(until=1.0)
+        assert [r[4] for r in early.received] != [] and late.received == []
+        sim.schedule_at(1.0, medium.transmit, ap, mgmt_frame("ap", BROADCAST))
+        sim.run(until=1.5)
+        assert len(early.received) == 2 and len(late.received) == 1
+        assert late.received[0][4] == early.received[1][4]
 
 
 @pytestmark_numpy
