@@ -95,8 +95,9 @@ class Simulator:
         An optional :class:`repro.obs.Telemetry` registry.  ``None`` (the
         default) binds the shared null registry.  An enabled registry
         wraps the one dispatch loop rather than replacing it:
-        ``schedule_at`` and ``schedule_fire`` are rebound on the instance
-        to schedule :meth:`_Profiler.call` in place of each callback, and
+        ``schedule_at``, ``schedule_fire`` and ``schedule_reserved`` are
+        rebound on the instance to schedule :meth:`_Profiler.call` in
+        place of each callback, and
         ``run()`` folds the profile into the registry when it returns.
         Telemetry never schedules events of its own or consumes RNG, so
         enabling it does not perturb simulation results.
@@ -123,6 +124,7 @@ class Simulator:
             self._profiler = profiler = _Profiler(self._queue, self.telemetry)
             self.schedule_at = profiler.wrap(self.schedule_at)  # type: ignore[method-assign]
             self.schedule_fire = profiler.wrap(self.schedule_fire)  # type: ignore[method-assign]
+            self.schedule_reserved = profiler.wrap(self.schedule_reserved)  # type: ignore[method-assign]
 
     # ------------------------------------------------------------------
     # Random streams
@@ -178,6 +180,33 @@ class Simulator:
         if time < self.now:
             raise ValueError(f"cannot schedule in the past: {time} < {self.now}")
         heapq.heappush(self._queue, (time, next(self._seq), None, fn, args))
+        self._live += 1
+
+    def reserve(self, time: float) -> Tuple[float, int]:
+        """Take the place at ``time`` an event scheduled now would get.
+
+        Nothing is scheduled.  :meth:`schedule_reserved` may fill the
+        place later, and the event then runs exactly where it would have
+        run had :meth:`schedule_fire` scheduled it now: ties at ``time``
+        break on the place, not on when it was filled.  A place never
+        filled costs nothing.  The radio reserves one for each beacon
+        nobody can hear, and fills it only if a frame queues behind that
+        beacon (see :meth:`repro.sim.radio.Medium.transmit`).
+        """
+        return (time, next(self._seq))
+
+    def schedule_reserved(
+        self, place: Tuple[float, int], fn: Callable[..., None], *args: Any
+    ) -> None:
+        """Schedule ``fn(*args)`` in a place taken by :meth:`reserve`.
+
+        Fire-and-forget, like :meth:`schedule_fire`; each place is filled
+        at most once.
+        """
+        time, seq = place
+        if time < self.now:
+            raise ValueError(f"cannot schedule in the past: {time} < {self.now}")
+        heapq.heappush(self._queue, (time, seq, None, fn, args))
         self._live += 1
 
     # ------------------------------------------------------------------
@@ -309,8 +338,8 @@ class _Profiler:
     def wrap(self, schedule: Callable[..., Any]) -> Callable[..., Any]:
         call = self.call
 
-        def profiled(time: float, fn: Callable[..., None], *args: Any) -> Any:
-            return schedule(time, call, fn, args)
+        def profiled(when: Any, fn: Callable[..., None], *args: Any) -> Any:
+            return schedule(when, call, fn, args)
 
         return profiled
 

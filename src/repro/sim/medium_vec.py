@@ -26,7 +26,10 @@ cache stays exact:
   ``SNAPSHOT_MIN_MOBILES``, or no numpy): a static sender skips each
   mobile until an exact out-of-range *horizon* has passed.  A mobile
   found ``d0 > range_m`` away at ``t0`` cannot come in range before
-  ``t0 + (d0 - range_m - PREFILTER_MARGIN_M) / max_speed_mps``.
+  ``t0 + (d0 - range_m - PREFILTER_MARGIN_M) / max_speed_mps``.  A
+  beacon plan with no rows, due before every horizon, has no receiver
+  at all: :meth:`VectorIndex.unheard` tells the medium so at transmit
+  time, and the beacon's delivery takes no event.
 * **Mobile stations in large fleets** (numpy installed) are snapshotted
   into position arrays with a drift allowance: a snapshot taken at
   ``t0`` stays valid while ``v_max * (now - t0)`` is under a slack
@@ -292,16 +295,18 @@ class VectorIndex:
         beacon = frame.kind is FrameKind.BEACON
         if dst == BROADCAST:
             dst = None
-            if beacon and cs is not None and sender_id in cs.by_id:
-                # A static sender's beacon: the hot case by far.
+            plan = None
+            if beacon and cs is not None:
                 plan = cs.plans.get(sender_id)
-                if plan is None:
+                if plan is None and sender_id in cs.by_id:
                     plan = cs.plans[sender_id] = _Plan(
                         self._static_rows(
                             self._near(cs, sx, sy), sender_id, None, True, sx, sy
                         ),
                         len(self._mob),
                     )
+            if plan is not None:
+                # A static sender's beacon: the hot case by far.
                 if self._sim.now < plan.next_check:
                     return plan.rows
                 snap = self._snapshot() if self._snapshots else None
@@ -340,6 +345,25 @@ class VectorIndex:
         return _merge(
             stat, self._scan_mobiles(mob, sender_id, channel, dst, beacon, sx, sy)
         )
+
+    def unheard(self, sender_id: str, frame: Frame, at: float) -> bool:
+        """Whether nobody can hear ``frame``, a beacon, delivered at ``at``.
+
+        True only for a broadcast, from the static sender's cached plan:
+        no static that acts on beacons is in range, and ``at`` is before
+        every mobile's horizon, so :meth:`survivors` would return the
+        plan's empty rows.  (A unicast frame nobody hears still reports
+        its failure to the sender.)  A station registering before ``at``
+        hears only later frames, and one unregistering leaves no row
+        behind, so the answer holds whatever (un)registers in between.
+        False when no plan is cached, and on the mobile snapshot, which
+        keeps no horizons.
+        """
+        if frame.dst != BROADCAST:
+            return False
+        cs = self._chan.get(frame.channel)
+        plan = None if cs is None else cs.plans.get(sender_id)
+        return plan is not None and not plan.rows and at < plan.next_check
 
     # ------------------------------------------------------------------
     # Static side

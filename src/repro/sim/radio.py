@@ -193,17 +193,21 @@ class Medium:
         # cells around the sender.
         self._bin_m = max(range_m, 1.0)
         # Global-FIFO delivery lanes: each channel's undelivered frames in
-        # transmit order, as (deliver_at, sender_id, frame, registrations):
-        # the last is the index's registration counter when the frame was
-        # sent (see _hearers).  Every frame
-        # is delivered by its own engine event, but only the head of a
-        # lane has one in the heap (exactly when the lane is non-empty);
-        # the next is scheduled as the head is delivered.  A saturated
-        # channel's backlog (~84,000 frames after 10 s of the 250-vehicle
-        # city) so costs one deque entry per frame, not a heap entry.
+        # transmit order, as (deliver_at, sender_id, frame, registrations),
+        # the last being the index's registration counter when the frame
+        # was sent (see _hearers).  Every frame is delivered by its own
+        # engine event, but only the head of a lane has one in the heap
+        # (exactly when the lane is non-empty); the next is scheduled as
+        # the head is delivered.  A saturated channel's backlog (~84,000
+        # frames after 10 s of the 250-vehicle city) so costs one deque
+        # entry per frame, not a heap entry.
         self._lanes: Dict[int, Deque[Tuple[float, str, Frame, int]]] = (
             defaultdict(deque)
         )
+        # Per channel, the last beacon that nobody could hear and that
+        # went to an empty lane, as (reserved place, lane entry): it has
+        # no event unless a frame queues behind it (see transmit).
+        self._unheard: Dict[int, Tuple[Tuple[float, int], Tuple]] = {}
         #: Optional observers called as fn(frame, receiver_id) on delivery.
         self.delivery_hooks: List[Callable[[Frame, str], None]] = []
         self.frames_sent = 0
@@ -426,7 +430,16 @@ class Medium:
         Each frame's delivery is its own engine event.  The event of a
         frame queued in its channel's lane behind an undelivered frame is
         scheduled when the frame ahead of it is delivered; events due at
-        the same instant run in the order they were scheduled.
+        the same instant run in the order they were scheduled.  A beacon
+        nobody can hear is the one exception.  Sent to an empty lane, with
+        :meth:`VectorIndex.unheard` proving it has no receiver, it books
+        its airtime and counts in ``frames_sent``, but its event only
+        reserves a place in the event order (:meth:`Simulator.reserve`):
+        its delivery would draw nothing and call nobody.  If a frame is
+        sent on the channel before that beacon is due, the beacon's event
+        is scheduled in its reserved place, ahead of the new frame in the
+        lane, so every event runs in the order it would with the beacon's
+        event.
 
         With contention enabled, serialization is per carrier-sense cell
         instead of global: the frame contends via CSMA/CA (DIFS + slotted
@@ -497,10 +510,24 @@ class Medium:
         if wait > self._backlog_high or wait > BACKLOG_WARN_S:
             self._note_backlog(channel, wait)
         deliver_at = done + PROPAGATION_DELAY_S
+        entry = (deliver_at, sender.station_id, frame, self._vec.registrations)
         lane = self._lanes[channel]
         if not lane:
-            self.sim.schedule_fire(deliver_at, self._deliver, channel)
-        lane.append((deliver_at, sender.station_id, frame, self._vec.registrations))
+            unheard = self._unheard.get(channel)
+            if unheard is not None and unheard[0][0] > now:
+                # The beacon is still in the air, so this frame queues
+                # behind it: the beacon's event now takes its place.
+                del self._unheard[channel]
+                lane.append(unheard[1])
+                self.sim.schedule_reserved(unheard[0], self._deliver, channel)
+            elif frame.kind is FrameKind.BEACON and self._vec.unheard(
+                sender.station_id, frame, deliver_at
+            ):
+                self._unheard[channel] = (self.sim.reserve(deliver_at), entry)
+                return done
+            else:
+                self.sim.schedule_fire(deliver_at, self._deliver, channel)
+        lane.append(entry)
         return done
 
     def _transmit_contended(

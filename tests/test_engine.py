@@ -20,7 +20,7 @@ def make_sim(profiled: bool, seed: int = 1234) -> Simulator:
 def sim(request):
     """The simulator under test: plain, or with telemetry on in the
     ``*Profiled`` twins at the end of this module, whose every event then
-    goes through the wrapped ``schedule_at``/``schedule_fire``."""
+    goes through the wrapped scheduling methods."""
     return make_sim(getattr(request.instance, "profiled", False))
 
 
@@ -58,6 +58,26 @@ class TestScheduling:
     def test_run_until_advances_clock_even_with_empty_queue(self, sim):
         sim.run(until=10.0)
         assert sim.now == 10.0
+
+    def test_reserved_place_keeps_its_tie_order(self, sim):
+        log = []
+        place = sim.reserve(1.0)
+        sim.schedule(1.0, log.append, "scheduled after the reservation")
+        sim.schedule_reserved(place, log.append, "filled later, reserved first")
+        sim.run()
+        assert log == ["filled later, reserved first", "scheduled after the reservation"]
+
+    def test_unfilled_place_costs_nothing(self, sim):
+        sim.reserve(1.0)
+        assert sim.pending_events() == 0
+        sim.run()
+        assert sim.events_processed == 0
+
+    def test_reserved_place_in_the_past_rejected(self, sim):
+        place = sim.reserve(1.0)
+        sim.run(until=2.0)
+        with pytest.raises(ValueError):
+            sim.schedule_reserved(place, lambda: None)
 
     def test_remaining_events_run_on_second_call(self, sim):
         log = []
@@ -429,12 +449,23 @@ class TestProfile:
         assert snap.counter_value("engine.events") == sim.events_processed == 11
 
     def test_only_an_enabled_registry_rebinds_scheduling(self):
+        rebound = {"schedule_at", "schedule_fire", "schedule_reserved"}
         for telemetry in (None, Telemetry(enabled=False)):
-            assert not {"schedule_at", "schedule_fire"} & set(
-                vars(Simulator(seed=0, telemetry=telemetry))
-            )
+            assert not rebound & set(vars(Simulator(seed=0, telemetry=telemetry)))
         profiled = Simulator(seed=0, telemetry=Telemetry(enabled=True))
-        assert {"schedule_at", "schedule_fire"} <= set(vars(profiled))
+        assert rebound <= set(vars(profiled))
+
+    def test_reserved_events_are_dispatch_counted(self):
+        tele = Telemetry(enabled=True)
+        sim = Simulator(seed=0, telemetry=tele)
+        fan = _Fan(sim)
+        sim.reserve(0.5)  # never filled
+        sim.schedule_reserved(sim.reserve(1.0), fan.leaf, 1.0)
+        sim.run()
+        snap = tele.snapshot()
+        assert fan.leaves == [1.0]
+        assert snap.counter_value("engine.dispatch._Fan.leaf") == 1
+        assert snap.counter_value("engine.events") == sim.events_processed == 1
 
 
 # The same cases with telemetry on: ordering, cancellation, compaction

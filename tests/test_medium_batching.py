@@ -7,7 +7,8 @@ frame ahead of it is delivered.  These tests pin what that means:
 delivery order, per-frame arrival clocks, the ``run(until=...)`` bound, a
 channel that goes idle and busy again, per-channel independence, one heap
 entry per busy channel, and the scheduling order among events due at the
-same instant.
+same instant.  A beacon nobody can hear still books its airtime, but its
+event is only scheduled if a frame queues behind it.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from __future__ import annotations
 import pytest
 
 from repro.sim.engine import Simulator
-from repro.sim.frames import Frame, FrameKind
+from repro.sim.frames import BROADCAST, Frame, FrameKind
 from repro.sim.radio import PROPAGATION_DELAY_S, Medium
 
 
@@ -190,3 +191,103 @@ class TestBatchedDelivery:
         rx.on_frame = on_frame_scheduling
         sim.run(until=1.0)
         assert order == [100, "scheduled before", 200, "scheduled by rx"]
+
+
+class ApLikeStation(RecordingStation):
+    """A static station that, like an access point, ignores beacons."""
+
+    is_static = True
+    accepts_only_own_id = True
+    ignores_beacons = True
+
+
+class FarMobile(RecordingStation):
+    """A mobile 1 km out with a declared speed bound: ~90 s from range."""
+
+    max_speed_mps = 10.0
+
+
+def build_unheard(sim):
+    """An AP-like beaconer, an AP-like neighbour 30 m away and a far
+    mobile: nobody acts on the beaconer's beacons for the next ~90 s.
+    The first beacon is delivered, which caches the beaconer's plan."""
+    medium = Medium(sim, loss_rate=0.0)
+    ap = ApLikeStation("ap")
+    neighbour = ApLikeStation("ap2", x=30.0)
+    veh = FarMobile("veh", x=1000.0)
+    for station in (ap, neighbour, veh):
+        station.sim = sim
+        medium.register(station)
+    beacon = Frame(kind=FrameKind.BEACON, src="ap", dst=BROADCAST, size=80, channel=1)
+    medium.transmit(ap, beacon)
+    sim.run(until=0.1)
+    return medium, ap, neighbour, beacon
+
+
+def data_frame(src, dst, size=200):
+    return Frame(kind=FrameKind.DATA, src=src, dst=dst, size=size, channel=1)
+
+
+class TestUnheardBeacons:
+    def test_books_airtime_and_frames_sent_without_an_event(self):
+        sim = Simulator(seed=9)
+        medium, ap, neighbour, beacon = build_unheard(sim)
+        events, sent = sim.events_processed, medium.frames_sent
+        done = medium.transmit(ap, beacon)
+        assert medium.frames_sent == sent + 1
+        assert sim.pending_events() == 0
+        data = data_frame("ap", "ap2")
+        assert medium.transmit(ap, data) == done + medium.airtime(data)
+        sim.run(until=1.0)
+        assert [r[2] for r in neighbour.received] == [200]
+        # The data frame queued behind the beacon, which then took its event.
+        assert sim.events_processed == events + 2
+
+    def test_adds_no_engine_event(self):
+        sim = Simulator(seed=10)
+        medium, ap, neighbour, beacon = build_unheard(sim)
+        assert sim.events_processed == 1
+        for k in range(2, 12):
+            medium.transmit(ap, beacon)
+            sim.run(until=0.1 * k)
+        assert medium.frames_sent == 11
+        assert sim.events_processed == 1
+        medium.transmit(ap, data_frame("ap", "ap2"))
+        sim.run(until=2.0)
+        assert sim.events_processed == 2 and len(neighbour.received) == 1
+
+    def test_frame_queued_behind_it_keeps_its_scheduling_order(self):
+        """A frame queued behind an unheard beacon has its event scheduled
+        when the beacon's would have run: an event due at the same
+        instant, scheduled after the frame was sent but before the beacon
+        was due, still runs first."""
+        sim = Simulator(seed=11)
+        medium, ap, neighbour, beacon = build_unheard(sim)
+        medium.transmit(ap, beacon)
+        due = medium.transmit(ap, data_frame("ap", "ap2")) + PROPAGATION_DELAY_S
+        order = []
+        sim.schedule_at(due, lambda: order.append("scheduled before"))
+        neighbour.on_frame = lambda frame, rssi: order.append(frame.size)
+        sim.run(until=1.0)
+        assert order == ["scheduled before", 200]
+
+    def test_beacon_event_runs_in_its_reserved_place(self):
+        """Once a frame queues behind it, the beacon's event runs where it
+        would have run had it been scheduled when the beacon was sent:
+        before an event due at the same instant that was scheduled in
+        between, so what either schedules keeps its order too."""
+        sim = Simulator(seed=12)
+        medium, ap, neighbour, beacon = build_unheard(sim)
+        done = medium.transmit(ap, beacon)
+        data = data_frame("ap", "ap2")
+        due = (done + medium.airtime(data)) + PROPAGATION_DELAY_S
+        order = []
+
+        def at_the_beacons_instant():
+            sim.schedule_at(due, lambda: order.append("scheduled at the beacon's instant"))
+
+        sim.schedule_at(done + PROPAGATION_DELAY_S, at_the_beacons_instant)
+        medium.transmit(ap, data)
+        neighbour.on_frame = lambda frame, rssi: order.append(frame.size)
+        sim.run(until=1.0)
+        assert order == [200, "scheduled at the beacon's instant"]

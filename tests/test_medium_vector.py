@@ -75,6 +75,12 @@ class StaticStation(RecordingStation):
     accepts_only_own_id = True
 
 
+class ApLikeStation(StaticStation):
+    """Static station that, like an access point, ignores beacons."""
+
+    ignores_beacons = True
+
+
 class MovingStation(RecordingStation):
     """Mobile station drifting along x at a declared speed bound."""
 
@@ -524,6 +530,28 @@ class TestHorizons:
         assert 29.9 < first["reference"] <= 30.1  # 400 m away, 100 m range
         assert early_reads["reference"] > 250
         assert early_reads["index"] == early_reads["index-no-numpy"] == 1
+
+    def test_unheard_beacons_resume_at_the_horizon(self):
+        """Beacons nobody acts on (the AP's neighbour ignores them, the
+        mobile is far) take no delivery event on the index paths; once
+        the mobile's horizon is due they are delivered again, first at
+        the reference walk's instant."""
+        traces, events = {}, {}
+        for path in PATHS:
+            veh = MovingStation("veh", x=0.0, speed_mps=10.0)
+            neighbour = ApLikeStation("ap2", x=420.0)
+            sim, _ = beaconing_world(path, [neighbour, veh])
+            sim.run(until=35.0)
+            traces[path] = [r[4] for r in veh.received]
+            events[path] = sim.events_processed
+        assert traces["index"] == traces["index-no-numpy"] == traces["reference"]
+        assert 29.9 < traces["reference"][0] <= 30.1
+        assert len(traces["reference"]) >= 45
+        # A tick and a delivery per beacon on the reference walk; the
+        # index delivers the first beacon, then none until the horizon.
+        ticks = events["reference"] // 2
+        assert events["index"] == events["index-no-numpy"]
+        assert events["index"] == ticks + 1 + len(traces["index"])
 
     @pytest.mark.parametrize("declared", ["absent", None, math.inf])
     def test_undeclared_bound_is_checked_every_frame(self, declared):
