@@ -22,7 +22,7 @@ from __future__ import annotations
 import logging
 from typing import List, Optional
 
-from ..sim.engine import EventHandle, PeriodicProcess, Simulator
+from ..sim.engine import Event, PeriodicProcess, Simulator
 from ..sim.frames import MGMT_FRAME_BYTES, Frame, FrameKind
 from ..sim.nic import VirtualInterface, WifiNic
 from .schedule import OperationMode
@@ -50,7 +50,7 @@ class SpiderDriver:
         self.mode = mode
         self.running = False
         self._cycle_position = 0
-        self._switch_timer: Optional[EventHandle] = None
+        self._switch_timer: Optional[Event] = None
         self._switching = False
         #: Measured durations of completed switch operations (Table 1).
         self.switch_latencies_s: List[float] = []
@@ -82,7 +82,7 @@ class SpiderDriver:
         """Stop the component and release its resources."""
         self.running = False
         if self._switch_timer is not None:
-            self._switch_timer.cancel()
+            self.sim.cancel(self._switch_timer)
             self._switch_timer = None
         if self._prober is not None:
             self._prober.stop()
@@ -93,7 +93,7 @@ class SpiderDriver:
         self._cycle_position = 0
         if self.running and not self._switching:
             if self._switch_timer is not None:
-                self._switch_timer.cancel()
+                self.sim.cancel(self._switch_timer)
                 self._switch_timer = None
             if self.nic.current_channel != mode.channels[0]:
                 self._begin_switch(mode.channels[0])

@@ -20,7 +20,7 @@ from __future__ import annotations
 import logging
 from typing import List, Optional
 
-from ..sim.engine import EventHandle, Simulator
+from ..sim.engine import Event, Simulator
 from ..sim.frames import FrameKind
 from ..sim.nic import VirtualInterface, WifiNic
 from .driver import SpiderDriver
@@ -45,7 +45,7 @@ class ApSlicedDriver(SpiderDriver):
         super().__init__(sim, nic, mode, probe_interval_s=probe_interval_s)
         self.slice_s = slice_s
         self._ap_cursor = 0
-        self._slice_timer: Optional[EventHandle] = None
+        self._slice_timer: Optional[Event] = None
 
     # ------------------------------------------------------------------
     def start(self) -> None:
@@ -58,7 +58,7 @@ class ApSlicedDriver(SpiderDriver):
     def stop(self) -> None:
         """Stop the component and release its resources."""
         if self._slice_timer is not None:
-            self._slice_timer.cancel()
+            self.sim.cancel(self._slice_timer)
             self._slice_timer = None
         super().stop()
 

@@ -15,9 +15,9 @@ Design constraints, in order of importance:
    one no-op method call on rare paths and *nothing* on the engine hot
    loop.  An enabled registry wraps the code it measures instead of
    selecting a second copy of it: the simulator rebinds ``schedule_at``
-   and ``schedule_fire`` on the instance so each callback runs through a
-   profiler in the same dispatch loop, and the contention state wraps
-   its one hidden-terminal scan the same way.  The
+   and ``schedule_reserved`` on the instance so each callback runs
+   through a profiler in the same dispatch loop, and the contention state
+   wraps its ``acquire`` and its one hidden-terminal scan the same way.  The
    ``telemetry_overhead`` micro-benchmark in ``benchmarks/`` pins the
    disabled path.
 2. **Determinism.**  Instruments and span/event timestamps use *simulated*

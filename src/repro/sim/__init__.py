@@ -8,7 +8,7 @@ pluggable congestion control (Reno/CUBIC/BBR-lite/QUIC-0RTT), mobility,
 client NIC virtualization, and the stock-driver baseline.
 """
 
-from .engine import EventHandle, PeriodicProcess, Simulator
+from .engine import Event, PeriodicProcess, Simulator
 from .frames import BROADCAST, DhcpMessage, Frame, FrameKind, TcpSegment
 from .mobility import (
     LinearMobility,
@@ -56,7 +56,7 @@ from .tracing import FrameTrace, TraceRecord
 from .stock_client import StockClient
 
 __all__ = [
-    "EventHandle",
+    "Event",
     "PeriodicProcess",
     "Simulator",
     "BROADCAST",

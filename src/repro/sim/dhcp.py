@@ -24,7 +24,7 @@ import logging
 from dataclasses import dataclass
 from typing import Callable, Dict, Optional
 
-from .engine import EventHandle, Simulator
+from .engine import Event, Simulator
 from .frames import DHCP_FRAME_BYTES, DhcpMessage, DhcpType, Frame, FrameKind
 from .nic import VirtualInterface
 
@@ -329,8 +329,8 @@ class DhcpClient:
         self.started_at: Optional[float] = None
         self.used_cache = False
         self.retransmits = 0
-        self._timer: Optional[EventHandle] = None
-        self._budget_timer: Optional[EventHandle] = None
+        self._timer: Optional[Event] = None
+        self._budget_timer: Optional[Event] = None
         self._requested_ip: Optional[str] = None
 
     # ------------------------------------------------------------------
@@ -390,7 +390,7 @@ class DhcpClient:
 
     def _arm_timer(self) -> None:
         if self._timer is not None:
-            self._timer.cancel()
+            self.sim.cancel(self._timer)
         self._timer = self.sim.schedule(self.timeout_s, self._on_timeout)
 
     def _on_timeout(self) -> None:
@@ -461,10 +461,10 @@ class DhcpClient:
 
     def _teardown(self) -> None:
         if self._timer is not None:
-            self._timer.cancel()
+            self.sim.cancel(self._timer)
             self._timer = None
         if self._budget_timer is not None:
-            self._budget_timer.cancel()
+            self.sim.cancel(self._budget_timer)
             self._budget_timer = None
         if self.iface.handlers.get(FrameKind.DHCP) == self._on_frame:
             del self.iface.handlers[FrameKind.DHCP]

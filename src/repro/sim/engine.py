@@ -10,6 +10,13 @@ The engine is the foundation of the :mod:`repro.sim` substrate.  It provides
 * a tiny periodic-process helper used by beaconing, ping probers, and the
   link-management tick.
 
+An event is one mutable list, ``[time, seq, fn, args]``: the heap entry
+itself, and what :meth:`Simulator.schedule_at` returns, as the stdlib
+:mod:`sched` module's ``enterabs`` returns its event.
+:meth:`Simulator.cancel` cancels it.  ``fn`` is ``None`` once the event
+has fired or been cancelled, so ``event[2] is not None`` tells a holder
+that it is still pending, and ``event[0]`` is its time.
+
 The design is intentionally callback-based rather than coroutine-based:
 protocol logic in this package is written as explicit state machines, and
 explicit machines are easier to unit-test and to reason about than implicit
@@ -23,64 +30,20 @@ import itertools
 import math
 import random
 from time import perf_counter
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional
 
 from ..obs.telemetry import NULL_TELEMETRY
 
-__all__ = ["EventHandle", "Simulator", "PeriodicProcess"]
+__all__ = ["Event", "Simulator", "PeriodicProcess"]
 
-# The heap stores plain ``(time, seq, handle)`` tuples.  Tuple comparison is
-# implemented in C and ``seq`` is unique, so ordering never falls through to
-# the handle — measurably cheaper than a dataclass with ``order=True`` on
-# the schedule/pop hot path.  Fire-and-forget events (schedule_fire) ride
-# the same heap as ``(time, seq, None, fn, args)``: the unique ``seq``
-# still breaks every tie, so mixed arities never compare past it.
-_QueueEntry = Tuple[Any, ...]
+#: ``[time, seq, fn, args]``.  List comparison runs in C and ``seq`` is
+#: unique, so heap ordering never falls through to ``fn``.  A 4-item list
+#: costs what a tuple does to schedule and pop, and being mutable it is
+#: its own cancellation handle.
+Event = List[Any]
 
 #: Heaps smaller than this are never compacted (not worth the churn).
 _COMPACT_MIN_QUEUE = 64
-
-
-class EventHandle:
-    """A cancellable reference to a scheduled event.
-
-    Instances are returned by :meth:`Simulator.schedule` and
-    :meth:`Simulator.schedule_at`.  Calling :meth:`cancel` before the event
-    fires prevents the callback from running; cancelling after it fired is a
-    harmless no-op.
-    """
-
-    __slots__ = ("fn", "args", "cancelled", "fired", "time", "_sim")
-
-    def __init__(
-        self,
-        time: float,
-        fn: Callable[..., None],
-        args: tuple,
-        sim: "Optional[Simulator]" = None,
-    ):
-        self.time = time
-        self.fn: Optional[Callable[..., None]] = fn
-        self.args = args
-        self.cancelled = False
-        self.fired = False
-        self._sim = sim
-
-    def cancel(self) -> None:
-        """Prevent the event from firing (idempotent)."""
-        if self.cancelled or self.fired:
-            return
-        self.cancelled = True
-        # Drop references eagerly so cancelled timers do not pin objects.
-        self.fn = None
-        self.args = ()
-        if self._sim is not None:
-            self._sim._note_cancelled()
-
-    @property
-    def pending(self) -> bool:
-        """True if the event has neither fired nor been cancelled."""
-        return not (self.cancelled or self.fired)
 
 
 class Simulator:
@@ -95,12 +58,11 @@ class Simulator:
         An optional :class:`repro.obs.Telemetry` registry.  ``None`` (the
         default) binds the shared null registry.  An enabled registry
         wraps the one dispatch loop rather than replacing it:
-        ``schedule_at``, ``schedule_fire`` and ``schedule_reserved`` are
-        rebound on the instance to schedule :meth:`_Profiler.call` in
-        place of each callback, and
-        ``run()`` folds the profile into the registry when it returns.
-        Telemetry never schedules events of its own or consumes RNG, so
-        enabling it does not perturb simulation results.
+        ``schedule_at`` and ``schedule_reserved`` are rebound on the
+        instance to schedule :meth:`_Profiler.call` in place of each
+        callback, and ``run()`` folds the profile into the registry when
+        it returns.  Telemetry never schedules events of its own or
+        consumes RNG, so enabling it does not perturb simulation results.
     """
 
     def __init__(self, seed: int = 0, telemetry=None):
@@ -108,7 +70,7 @@ class Simulator:
         self.telemetry = NULL_TELEMETRY if telemetry is None else telemetry
         self.telemetry.bind_clock(self)
         self.now: float = 0.0
-        self._queue: List[_QueueEntry] = []
+        self._queue: List[Event] = []
         self._seq = itertools.count()
         self._streams: Dict[str, random.Random] = {}
         self._running = False
@@ -123,7 +85,6 @@ class Simulator:
         if self.telemetry.enabled:
             self._profiler = profiler = _Profiler(self._queue, self.telemetry)
             self.schedule_at = profiler.wrap(self.schedule_at)  # type: ignore[method-assign]
-            self.schedule_fire = profiler.wrap(self.schedule_fire)  # type: ignore[method-assign]
             self.schedule_reserved = profiler.wrap(self.schedule_reserved)  # type: ignore[method-assign]
 
     # ------------------------------------------------------------------
@@ -144,75 +105,72 @@ class Simulator:
     # ------------------------------------------------------------------
     # Scheduling
     # ------------------------------------------------------------------
-    def schedule(self, delay: float, fn: Callable[..., None], *args: Any) -> EventHandle:
+    def schedule(self, delay: float, fn: Callable[..., None], *args: Any) -> Event:
         """Schedule ``fn(*args)`` to run ``delay`` seconds from now."""
         if delay < 0:
             raise ValueError(f"negative delay: {delay!r}")
         return self.schedule_at(self.now + delay, fn, *args)
 
-    def schedule_at(self, time: float, fn: Callable[..., None], *args: Any) -> EventHandle:
-        """Schedule ``fn(*args)`` to run at absolute simulation ``time``."""
-        if time != time:  # inline NaN check; math.isnan costs a call here
-            raise ValueError("event time is NaN")
-        if time < self.now:
-            raise ValueError(f"cannot schedule in the past: {time} < {self.now}")
-        handle = EventHandle(time, fn, args, self)
-        heapq.heappush(self._queue, (time, next(self._seq), handle))
-        self._live += 1
-        return handle
+    def schedule_at(self, time: float, fn: Callable[..., None], *args: Any) -> Event:
+        """Schedule ``fn(*args)`` to run at absolute simulation ``time``.
 
-    def schedule_fire(self, time: float, fn: Callable[..., None], *args: Any) -> None:
-        """Schedule ``fn(*args)`` at ``time`` with no cancellation handle.
-
-        The fire-and-forget twin of :meth:`schedule_at`, for hot callers
-        whose events are never cancelled: the radio's frame deliveries and
-        contended retries (invalidated by generation tokens, not
-        cancellation), the AP backhaul links and management replies, and
-        the world's wired legs.  It skips the :class:`EventHandle`
-        allocation and the handle bookkeeping in the dispatch loop, which
-        is measurable at a few hundred thousand schedules per trial.
-        Dispatch order is identical to :meth:`schedule_at` — the heap
-        orders on ``(time, seq)`` alone, so swapping one for the other
-        never reorders events.
+        Returns the event, which :meth:`cancel` accepts.
         """
         if time != time:  # inline NaN check; math.isnan costs a call here
             raise ValueError("event time is NaN")
         if time < self.now:
             raise ValueError(f"cannot schedule in the past: {time} < {self.now}")
-        heapq.heappush(self._queue, (time, next(self._seq), None, fn, args))
+        event = [time, next(self._seq), fn, args]
+        heapq.heappush(self._queue, event)
         self._live += 1
+        return event
 
-    def reserve(self, time: float) -> Tuple[float, int]:
+    #: The old name of :meth:`schedule_at`.  Nothing in the package calls
+    #: it; it stays while the traced benchmark probe
+    #: (``perfbench/probe.py``) patches the name.
+    schedule_fire = schedule_at
+
+    def reserve(self, time: float) -> Event:
         """Take the place at ``time`` an event scheduled now would get.
 
-        Nothing is scheduled.  :meth:`schedule_reserved` may fill the
-        place later, and the event then runs exactly where it would have
-        run had :meth:`schedule_fire` scheduled it now: ties at ``time``
-        break on the place, not on when it was filled.  A place never
-        filled costs nothing.  The radio reserves one for each beacon
-        nobody can hear, and fills it only if a frame queues behind that
-        beacon (see :meth:`repro.sim.radio.Medium.transmit`).
+        Returns an unscheduled event: nothing enters the heap.
+        :meth:`schedule_reserved` may fill it later, and it then runs
+        exactly where it would have run had :meth:`schedule_at` scheduled
+        it now: ties at ``time`` break on the place, not on when it was
+        filled.  A place never filled is never pending, never runs and is
+        never counted.  The radio reserves one for each beacon nobody can
+        hear, and fills it only if a frame queues behind that beacon (see
+        :meth:`repro.sim.radio.Medium.transmit`).
         """
-        return (time, next(self._seq))
+        return [time, next(self._seq), None, ()]
 
     def schedule_reserved(
-        self, place: Tuple[float, int], fn: Callable[..., None], *args: Any
+        self, event: Event, fn: Callable[..., None], *args: Any
     ) -> None:
         """Schedule ``fn(*args)`` in a place taken by :meth:`reserve`.
 
-        Fire-and-forget, like :meth:`schedule_fire`; each place is filled
-        at most once.
+        Each place is filled at most once.
         """
-        time, seq = place
+        time = event[0]
         if time < self.now:
             raise ValueError(f"cannot schedule in the past: {time} < {self.now}")
-        heapq.heappush(self._queue, (time, seq, None, fn, args))
+        event[2] = fn
+        event[3] = args
+        heapq.heappush(self._queue, event)
         self._live += 1
 
-    # ------------------------------------------------------------------
-    # Cancelled-event accounting (called by EventHandle.cancel)
-    # ------------------------------------------------------------------
-    def _note_cancelled(self) -> None:
+    def cancel(self, event: Event) -> None:
+        """Prevent ``event`` from firing.
+
+        Idempotent, and a no-op for an event that already fired (``run()``
+        clears ``fn`` before the call, so a callback cancelling its own
+        event changes nothing) and for a place never filled.
+        """
+        if event[2] is None:
+            return
+        # Drop references eagerly so cancelled timers do not pin objects.
+        event[2] = None
+        event[3] = ()
         self._live -= 1
         self._cancelled_in_queue += 1
         # Long drives cancel far more timers (link-layer retries, DHCP
@@ -231,7 +189,7 @@ class Simulator:
         ``self._queue`` so that ``run()``'s local alias to the queue stays
         valid when a callback's cancel triggers a compaction mid-run.
         """
-        self._queue[:] = [e for e in self._queue if e[2] is None or not e[2].cancelled]
+        self._queue[:] = [e for e in self._queue if e[2] is not None]
         heapq.heapify(self._queue)
         self._cancelled_in_queue = 0
         self.compactions += 1
@@ -268,36 +226,23 @@ class Simulator:
             profiler.start()
         try:
             while queue:
-                entry = queue[0]
-                time = entry[0]
+                event = queue[0]
+                time = event[0]
                 if time > until:
                     break
                 heappop(queue)
-                handle = entry[2]
-                if handle is None:
-                    # Fire-and-forget entry (schedule_fire): no handle to
-                    # bookkeep, so dispatch straight from the tuple.
-                    if budget <= 0:
-                        raise RuntimeError(
-                            "event budget exhausted; possible event storm"
-                        )
-                    budget -= 1
-                    self.now = time
-                    dispatched += 1
-                    entry[3](*entry[4])
-                    continue
-                if handle.cancelled:
+                fn = event[2]
+                if fn is None:
+                    # Cancelled: a place never filled is never in the heap.
                     self._cancelled_in_queue -= 1
                     continue
                 if budget <= 0:
                     raise RuntimeError("event budget exhausted; possible event storm")
                 budget -= 1
                 self.now = time
-                handle.fired = True
-                fn, args = handle.fn, handle.args
-                handle.fn, handle.args = None, ()
+                event[2] = None
                 dispatched += 1
-                fn(*args)  # type: ignore[misc]
+                fn(*event[3])
             if until != math.inf and until > self.now:
                 self.now = until
         finally:
@@ -326,7 +271,7 @@ class _Profiler:
 
     __slots__ = ("_queue", "_tele", "_counts", "_wall", "_high_water", "_run_start")
 
-    def __init__(self, queue: List[_QueueEntry], telemetry) -> None:
+    def __init__(self, queue: List[Event], telemetry) -> None:
         # The simulator's own heap list: compaction mutates it in place.
         self._queue = queue
         self._tele = telemetry
@@ -408,9 +353,8 @@ class PeriodicProcess:
         self.period = period
         self.fn = fn
         self._stopped = False
-        self._handle: Optional[EventHandle] = None
         first = period if phase is None else phase
-        self._handle = sim.schedule(first, self._tick)
+        self._event: Optional[Event] = sim.schedule(first, self._tick)
 
     def _tick(self) -> None:
         if self._stopped:
@@ -418,14 +362,14 @@ class PeriodicProcess:
         self.fn()
         if not self._stopped:
             sim = self.sim
-            self._handle = sim.schedule_at(sim.now + self.period, self._tick)
+            self._event = sim.schedule_at(sim.now + self.period, self._tick)
 
     def stop(self) -> None:
         """Stop the process; pending tick (if any) is cancelled."""
         self._stopped = True
-        if self._handle is not None:
-            self._handle.cancel()
-            self._handle = None
+        if self._event is not None:
+            self.sim.cancel(self._event)
+            self._event = None
 
     @property
     def running(self) -> bool:

@@ -18,7 +18,7 @@ import enum
 import logging
 from typing import Callable, Optional
 
-from .engine import EventHandle, Simulator
+from .engine import Event, Simulator
 from .frames import Frame, FrameKind
 from .nic import VirtualInterface
 
@@ -78,7 +78,7 @@ class Associator:
         self.state = AssociationState.IDLE
         self.started_at: Optional[float] = None
         self.retries_used = 0
-        self._timer: Optional[EventHandle] = None
+        self._timer: Optional[Event] = None
 
     # ------------------------------------------------------------------
     def start(self) -> None:
@@ -116,7 +116,7 @@ class Associator:
 
     def _cancel_timer(self) -> None:
         if self._timer is not None:
-            self._timer.cancel()
+            self.sim.cancel(self._timer)
             self._timer = None
 
     def _on_timeout(self) -> None:

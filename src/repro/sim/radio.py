@@ -39,7 +39,7 @@ from collections import defaultdict, deque
 from typing import Callable, Deque, Dict, List, Optional, Protocol, Tuple
 
 from .contention import ContentionSpec, ContentionState
-from .engine import Simulator
+from .engine import Event, Simulator
 from .frames import BROADCAST, Frame, FrameKind
 
 __all__ = [
@@ -205,9 +205,10 @@ class Medium:
             defaultdict(deque)
         )
         # Per channel, the last beacon that nobody could hear and that
-        # went to an empty lane, as (reserved place, lane entry): it has
-        # no event unless a frame queues behind it (see transmit).
-        self._unheard: Dict[int, Tuple[Tuple[float, int], Tuple]] = {}
+        # went to an empty lane, as (reserved event, lane entry): the
+        # event is filled and scheduled only if a frame queues behind the
+        # beacon (see transmit).
+        self._unheard: Dict[int, Tuple[Event, Tuple]] = {}
         #: Optional observers called as fn(frame, receiver_id) on delivery.
         self.delivery_hooks: List[Callable[[Frame, str], None]] = []
         self.frames_sent = 0
@@ -433,13 +434,13 @@ class Medium:
         the same instant run in the order they were scheduled.  A beacon
         nobody can hear is the one exception.  Sent to an empty lane, with
         :meth:`VectorIndex.unheard` proving it has no receiver, it books
-        its airtime and counts in ``frames_sent``, but its event only
-        reserves a place in the event order (:meth:`Simulator.reserve`):
-        its delivery would draw nothing and call nobody.  If a frame is
-        sent on the channel before that beacon is due, the beacon's event
-        is scheduled in its reserved place, ahead of the new frame in the
-        lane, so every event runs in the order it would with the beacon's
-        event.
+        its airtime and counts in ``frames_sent``, but its event is only
+        reserved (:meth:`Simulator.reserve`), never scheduled: its
+        delivery would draw nothing and call nobody.  If a frame is sent
+        on the channel before that beacon is due, the reserved event is
+        filled and scheduled (:meth:`Simulator.schedule_reserved`), ahead
+        of the new frame in the lane, so every event runs in the order it
+        would with the beacon's event.
 
         With contention enabled, serialization is per carrier-sense cell
         instead of global: the frame contends via CSMA/CA (DIFS + slotted
@@ -516,7 +517,7 @@ class Medium:
             unheard = self._unheard.get(channel)
             if unheard is not None and unheard[0][0] > now:
                 # The beacon is still in the air, so this frame queues
-                # behind it: the beacon's event now takes its place.
+                # behind it: the beacon's reserved event is scheduled.
                 del self._unheard[channel]
                 lane.append(unheard[1])
                 self.sim.schedule_reserved(unheard[0], self._deliver, channel)
@@ -526,7 +527,7 @@ class Medium:
                 self._unheard[channel] = (self.sim.reserve(deliver_at), entry)
                 return done
             else:
-                self.sim.schedule_fire(deliver_at, self._deliver, channel)
+                self.sim.schedule_at(deliver_at, self._deliver, channel)
         lane.append(entry)
         return done
 
@@ -570,9 +571,9 @@ class Medium:
         )
         if not granted:
             self._tx_contending[sender_id] = frame
-            # Fire-and-forget: stale retries are invalidated by the
-            # generation token, never cancelled, so no handle is needed.
-            self.sim.schedule_fire(
+            # Stale retries are invalidated by the generation token,
+            # never cancelled.
+            self.sim.schedule_at(
                 a,
                 self._retry_contended,
                 sender_id,
@@ -588,7 +589,7 @@ class Medium:
         self.frames_sent += 1
         if start > first_attempt_s:
             self._note_backlog(frame.channel, start - first_attempt_s)
-        self.sim.schedule_fire(
+        self.sim.schedule_at(
             done + PROPAGATION_DELAY_S,
             self._deliver_contended,
             sender_id,
@@ -746,7 +747,7 @@ class Medium:
         lane = self._lanes[channel]
         _, sender_id, frame, registrations = lane.popleft()
         if lane:
-            self.sim.schedule_fire(lane[0][0], self._deliver, channel)
+            self.sim.schedule_at(lane[0][0], self._deliver, channel)
         sender = self._stations.get(sender_id)
         if sender is None:
             return  # sender vanished mid-flight (e.g., torn down)

@@ -30,7 +30,7 @@ import math
 from typing import Callable, Dict, Optional
 
 from .cc import RenoCC, TcpParams, TransportSpec
-from .engine import EventHandle, Simulator
+from .engine import Event, Simulator
 from .frames import TcpSegment
 
 __all__ = [
@@ -115,7 +115,7 @@ class TcpSender:
             self._obs_cc_fast_rtx = None
             self._obs_cc_cwnd_at_loss = None
 
-        self._timer: Optional[EventHandle] = None
+        self._timer: Optional[Event] = None
         # Lazy RTO timer: the *logical* deadline lives here (+inf = not
         # armed); the engine event may sit earlier than the deadline, in
         # which case it re-arms itself instead of firing the RTO.  Every
@@ -234,18 +234,18 @@ class TcpSender:
     def _arm(self, deadline: float) -> None:
         self._rto_deadline = deadline
         timer = self._timer
-        if timer is not None and timer.pending:
-            if timer.time <= deadline:
+        if timer is not None and timer[2] is not None:  # still pending
+            if timer[0] <= deadline:
                 return  # standing event fires first and re-arms itself
             # RTO shrank below the standing event (fresh RTT sample after
             # a backoff): the event would fire too late, so move it.
-            timer.cancel()
+            self.sim.cancel(timer)
         self._timer = self.sim.schedule_at(deadline, self._on_timer)
 
     def _cancel_timer(self) -> None:
         self._rto_deadline = math.inf
         if self._timer is not None:
-            self._timer.cancel()
+            self.sim.cancel(self._timer)
             self._timer = None
 
     def _on_timer(self) -> None:

@@ -21,7 +21,7 @@ import itertools
 import logging
 from typing import Callable, Dict, Optional
 
-from .engine import EventHandle, PeriodicProcess, Simulator
+from .engine import Event, PeriodicProcess, Simulator
 from .frames import ACK_FRAME_BYTES, PING_FRAME_BYTES, Frame, FrameKind, TcpSegment
 from .cc import TransportSpec
 from .nic import VirtualInterface
@@ -82,12 +82,12 @@ class PingService:
 
     def probe(self, timeout_s: float, on_result: Callable[[bool], None]) -> None:
         """One-shot reachability check with a deadline."""
-        timer_box: Dict[str, Optional[EventHandle]] = {"t": None}
+        timer_box: Dict[str, Optional[Event]] = {"t": None}
 
         def reply() -> None:
             timer = timer_box["t"]
-            if timer is not None and timer.pending:
-                timer.cancel()
+            if timer is not None and timer[2] is not None:  # still pending
+                self.sim.cancel(timer)
                 on_result(True)
 
         def timeout() -> None:

@@ -245,7 +245,7 @@ class World:
         ap = self.ap_for_ip(ip)
         if ap is None:
             return
-        self.sim.schedule_fire(
+        self.sim.schedule_at(
             self.sim.now + self.wired_latency_s,
             ap.deliver_downlink,
             ip,
@@ -257,7 +257,7 @@ class World:
     def _on_uplink(self, ap: AccessPoint, kind: FrameKind, payload, src_mac: str) -> None:
         """Traffic arriving at the AP's wired head-end."""
         if kind is FrameKind.DATA and isinstance(payload, TcpSegment):
-            self.sim.schedule_fire(
+            self.sim.schedule_at(
                 self.sim.now + self.wired_latency_s, self.server.on_segment, payload
             )
         elif kind is FrameKind.PING_REQUEST and isinstance(payload, dict):
@@ -266,7 +266,7 @@ class World:
                 return
             self.server.pings_echoed += 1
             # One wired leg to reach the server; send_to_ip adds the return leg.
-            self.sim.schedule_fire(
+            self.sim.schedule_at(
                 self.sim.now + self.wired_latency_s,
                 self.send_to_ip,
                 src_ip,
