@@ -367,36 +367,56 @@ class ContentionState:
         self.airtime_s_by_sender: Dict[str, float] = {}
         self.collisions_by_sender: Dict[str, int] = {}
         tele = medium.sim.telemetry
-        self._obs_grants = tele.counter("contention.grants")
-        self._obs_deferrals = tele.counter("contention.deferrals")
         self._obs_collisions = tele.counter("contention.collisions")
-        # Per-phase dispatch counters (deterministic — pure functions of
-        # the event sequence, so the golden fingerprints cover them) plus
-        # wall-clock twins: ``contention.wall.*`` attribute contended wall
-        # time per phase and are flagged ``deterministic=False`` so they
-        # never leak into the deterministic snapshot projection.
-        self._obs_sense = tele.counter("contention.sense")
-        self._obs_defer = tele.counter("contention.defer")
-        self._profile = bool(tele.enabled)
-        self._wall_sense = tele.counter("contention.wall.sense", deterministic=False)
-        self._wall_defer = tele.counter("contention.wall.defer", deterministic=False)
-        if self._profile:
-            # Telemetry wraps the one scan on this instance; with it off
-            # the medium calls the method itself.
-            scan = self.interfered_rows
-            count = tele.counter("contention.collision_scan").inc
-            wall = tele.counter(
-                "contention.wall.collision_scan", deterministic=False
-            ).inc
+        if tele.enabled:
+            self._wrap_for_telemetry(tele)
 
-            def interfered_rows(sender_id, channel, rows, start, done):
-                count(len(rows))
-                t0 = perf_counter()
-                flags = scan(sender_id, channel, rows, start, done)
-                wall(perf_counter() - t0)
-                return flags
+    def _wrap_for_telemetry(self, tele) -> None:
+        """Count and time :meth:`acquire` and :meth:`interfered_rows`.
 
-            self.interfered_rows = interfered_rows  # type: ignore[method-assign]
+        Telemetry wraps both on this instance; with it off the medium
+        calls the methods themselves.  Per-outcome counters and the
+        per-phase ``contention.sense``/``contention.defer`` counts are
+        deterministic (pure functions of the event sequence, so the golden
+        fingerprints cover them); their ``contention.wall.*`` twins are
+        flagged ``deterministic=False`` so they never leak into the
+        deterministic snapshot projection.
+        """
+        acquire = self.acquire
+        grants = tele.counter("contention.grants").inc
+        deferrals = tele.counter("contention.deferrals").inc
+        sense = tele.counter("contention.sense").inc
+        defer = tele.counter("contention.defer").inc
+        wall_sense = tele.counter("contention.wall.sense", deterministic=False).inc
+        wall_defer = tele.counter("contention.wall.defer", deterministic=False).inc
+
+        def profiled_acquire(sender_id, channel, x, y, airtime, priority=False):
+            t0 = perf_counter()
+            result = acquire(sender_id, channel, x, y, airtime, priority)
+            elapsed = perf_counter() - t0
+            sense()
+            if result[0]:
+                grants()
+                wall_sense(elapsed)
+            else:
+                deferrals()
+                defer()
+                wall_defer(elapsed)
+            return result
+
+        scan = self.interfered_rows
+        count = tele.counter("contention.collision_scan").inc
+        wall = tele.counter("contention.wall.collision_scan", deterministic=False).inc
+
+        def interfered_rows(sender_id, channel, rows, start, done):
+            count(len(rows))
+            t0 = perf_counter()
+            flags = scan(sender_id, channel, rows, start, done)
+            wall(perf_counter() - t0)
+            return flags
+
+        self.acquire = profiled_acquire  # type: ignore[method-assign]
+        self.interfered_rows = interfered_rows  # type: ignore[method-assign]
 
     # ------------------------------------------------------------------
     def acquire(
@@ -422,8 +442,6 @@ class ContentionState:
         ``cw_mgmt`` window, and leaves the sender's data-plane backoff
         state untouched.
         """
-        profile = self._profile
-        t0 = perf_counter() if profile else 0.0
         now = self.sim.now
         bin_m = self._bin_m
         cx = int(x // bin_m)
@@ -450,15 +468,6 @@ class ContentionState:
             # note_collision).
             self.deferrals += 1
             backoff = self._randrange(cw) * self._slot_s
-            if profile:
-                # The obs counters are null instruments whenever
-                # telemetry is disabled (``_profile`` is exactly
-                # ``telemetry.enabled``), so the hot path skips even the
-                # no-op calls.
-                self._obs_sense.inc()
-                self._obs_deferrals.inc()
-                self._obs_defer.inc()
-                self._wall_defer.inc(perf_counter() - t0)
             return False, sensed + ifs + backoff, 0.0
         if not priority:
             # A station that found the medium idle starts a fresh
@@ -478,10 +487,6 @@ class ContentionState:
         self.airtime_s_by_sender[sender_id] = (
             self.airtime_s_by_sender.get(sender_id, 0.0) + airtime
         )
-        if profile:
-            self._obs_sense.inc()
-            self._obs_grants.inc()
-            self._wall_sense.inc(perf_counter() - t0)
         return True, start, done
 
     # -- carrier sense -------------------------------------------------
