@@ -51,11 +51,6 @@ __all__ = [
 
 logger = logging.getLogger(__name__)
 
-#: Frame kinds that enjoy 802.11 link-layer retransmission (data plane).
-_RETRIED_KINDS = frozenset(
-    {FrameKind.DATA, FrameKind.PING_REQUEST, FrameKind.PING_REPLY}
-)
-
 #: 802.11 retry limit applied to data-plane unicast frames.
 DATA_RETRY_LIMIT = 3
 

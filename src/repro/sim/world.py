@@ -224,14 +224,6 @@ class World:
         self._ap_by_subnet[subnet] = ap
         return ap
 
-    def fail_ap(self, bssid: str) -> None:
-        """Power an AP off (fault-injection convenience)."""
-        self.aps[bssid].fail()
-
-    def recover_ap(self, bssid: str) -> None:
-        """Power a failed AP back on."""
-        self.aps[bssid].recover()
-
     def ap_for_ip(self, ip: str) -> Optional[AccessPoint]:
         """The AP whose DHCP subnet owns the address, if any."""
         subnet = ip.rsplit(".", 1)[0]
