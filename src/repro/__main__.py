@@ -19,7 +19,8 @@ Every experiment shares one flag vocabulary, parsed here once:
 ``--duration S``
     simulated seconds per trial (finite and positive),
 ``--json-out PATH``
-    also write the :class:`~repro.runner.TrialResult` envelope as JSON,
+    also write the :class:`~repro.runner.TrialResult` envelope as strict
+    JSON (a NaN or infinite float is written as ``null``),
 ``--telemetry PATH``
     capture :mod:`repro.obs` telemetry in every trial and export the
     snapshots (plus their deterministic merge and a Chrome
@@ -230,6 +231,23 @@ def _seeds_from_flags(
     return None
 
 
+def _finite_or_null(node):
+    """``node`` with every non-finite float replaced by ``None``.
+
+    JSON has no NaN or infinity; ``--json-out`` writes them as ``null``
+    (a dividing speed of ``inf`` means switching paid at every probed
+    speed).  :func:`to_jsonable` itself is left alone: the golden
+    digests hash its output.
+    """
+    if isinstance(node, float):
+        return node if math.isfinite(node) else None
+    if isinstance(node, dict):
+        return {key: _finite_or_null(value) for key, value in node.items()}
+    if isinstance(node, list):
+        return [_finite_or_null(value) for value in node]
+    return node
+
+
 def main(argv=None) -> int:
     """Command-line entry point."""
     parser = _build_parser()
@@ -287,7 +305,12 @@ def main(argv=None) -> int:
     if fabric is not None and hasattr(fabric, "describe"):
         print(fabric.describe(), file=sys.stderr)
     if args.json_out is not None:
-        payload = json.dumps(to_jsonable(envelope), indent=2, sort_keys=True)
+        payload = json.dumps(
+            _finite_or_null(to_jsonable(envelope)),
+            indent=2,
+            sort_keys=True,
+            allow_nan=False,
+        )
         if args.json_out == "-":
             print(payload)
         else:

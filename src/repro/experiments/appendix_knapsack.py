@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import List, Tuple
+from typing import List, Optional, Tuple
 
 from ..analysis.reporting import format_table
 from ..core.ap_selection import (
@@ -64,10 +64,10 @@ class KnapsackTrialRow:
     n_aps: int
     dp_value: float
     greedy_value: float
-    brute_value: float  # NaN when skipped
+    brute_value: Optional[float]  # None when skipped
     dp_time_ms: float
     greedy_time_ms: float
-    brute_time_ms: float
+    brute_time_ms: Optional[float]  # None when skipped
 
 
 @dataclass
@@ -92,10 +92,10 @@ class KnapsackResult:
                     r.n_aps,
                     f"{r.dp_value:.1f}",
                     f"{r.greedy_value:.1f}",
-                    "-" if r.brute_value != r.brute_value else f"{r.brute_value:.1f}",
+                    "-" if r.brute_value is None else f"{r.brute_value:.1f}",
                     f"{r.dp_time_ms:.2f}",
                     f"{r.greedy_time_ms:.3f}",
-                    "-" if r.brute_time_ms != r.brute_time_ms else f"{r.brute_time_ms:.2f}",
+                    "-" if r.brute_time_ms is None else f"{r.brute_time_ms:.2f}",
                 )
                 for r in self.rows
             ],
@@ -132,7 +132,7 @@ def run_spec(spec: KnapsackSpec) -> KnapsackResult:
             brute_value, _ = knapsack_select_bruteforce(options, spec.budget)
             brute_ms = 1e3 * (time.perf_counter() - t0)
         else:
-            brute_value, brute_ms = float("nan"), float("nan")
+            brute_value, brute_ms = None, None
         rows.append(
             KnapsackTrialRow(
                 n_aps=n,

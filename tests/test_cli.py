@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import json
+from dataclasses import replace
+
 import pytest
 
 from repro.__main__ import main
@@ -37,6 +40,47 @@ class TestCli:
         monkeypatch.setattr(cli, "run_experiment", must_not_run)
         assert main(["table2", "--trials", "1", f"--duration={duration}"]) == 2
         assert "--duration must be finite and > 0" in capsys.readouterr().err
+
+
+def load_strict(path):
+    """Parse a ``--json-out`` file, refusing ``NaN`` and ``Infinity``."""
+
+    def refuse(token):
+        raise ValueError(f"{path.name}: {token} is not JSON")
+
+    return json.loads(path.read_text(encoding="utf-8"), parse_constant=refuse)
+
+
+class TestCliJsonOutIsStrict:
+    def test_knapsack_writes_skipped_rows_as_null(self, tmp_path, capsys):
+        path = tmp_path / "knapsack.json"
+        assert main(["knapsack", "--json-out", str(path)]) == 0
+        rows = load_strict(path)["value"]["rows"]
+        skipped = [row for row in rows if row["brute_value"] is None]
+        assert skipped and all(row["brute_time_ms"] is None for row in skipped)
+        # The rendered table still marks the skipped brute-force cells.
+        last = capsys.readouterr().out.splitlines()[-2].split()
+        assert last[0] == str(rows[-1]["n_aps"]) and last[3] == last[6] == "-"
+
+    def test_fig4_writes_an_infinite_dividing_speed_as_null(
+        self, tmp_path, monkeypatch
+    ):
+        """Switching pays at every probed speed, so each scenario's
+        dividing speed is ``inf``.  One speed on a coarse grid over a short
+        radio range keeps the analytic optimizer to about a second."""
+        import repro.__main__ as cli
+
+        run = cli.run_experiment
+
+        def small(name, spec, **kwargs):
+            spec = replace(spec, speeds_mps=(2.5,), grid_steps=4, range_m=20.0)
+            return run(name, spec, **kwargs)
+
+        monkeypatch.setattr(cli, "run_experiment", small)
+        path = tmp_path / "fig4.json"
+        assert main(["fig4", "--json-out", str(path)]) == 0
+        scenarios = load_strict(path)["value"]["scenarios"]
+        assert [s["dividing_speed_mps"] for s in scenarios] == [None] * 3
 
 
 class TestCliTelemetry:
