@@ -13,9 +13,9 @@ The engine is the foundation of the :mod:`repro.sim` substrate.  It provides
 An event is one mutable list, ``[time, seq, fn, args]``: the heap entry
 itself, and what :meth:`Simulator.schedule_at` returns, as the stdlib
 :mod:`sched` module's ``enterabs`` returns its event.
-:meth:`Simulator.cancel` cancels it.  ``fn`` is ``None`` once the event
-has fired or been cancelled, so ``event[2] is not None`` tells a holder
-that it is still pending, and ``event[0]`` is its time.
+:meth:`Simulator.cancel` cancels it, :meth:`Simulator.pending` tells a
+holder whether it is still to run, and :meth:`Simulator.time_of` reads
+its time.  Only this module indexes the list.
 
 The design is intentionally callback-based rather than coroutine-based:
 protocol logic in this package is written as explicit state machines, and
@@ -181,6 +181,16 @@ class Simulator:
             and len(self._queue) >= _COMPACT_MIN_QUEUE
         ):
             self._compact()
+
+    @staticmethod
+    def pending(event: Event) -> bool:
+        """Whether ``event`` is scheduled and has neither run nor been cancelled."""
+        return event[2] is not None
+
+    @staticmethod
+    def time_of(event: Event) -> float:
+        """The simulation time ``event`` runs (or ran, or would run) at."""
+        return event[0]
 
     def _compact(self) -> None:
         """Rebuild the heap without cancelled entries (heapify is O(n)).

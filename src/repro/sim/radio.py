@@ -510,9 +510,11 @@ class Medium:
         lane = self._lanes[channel]
         if not lane:
             unheard = self._unheard.get(channel)
-            if unheard is not None and unheard[0][0] > now:
-                # The beacon is still in the air, so this frame queues
-                # behind it: the beacon's reserved event is scheduled.
+            if unheard is not None and unheard[1][0] > now:
+                # The beacon is still in the air (its lane entry's
+                # deliver_at is its reserved event's time), so this frame
+                # queues behind it: the beacon's reserved event is
+                # scheduled.
                 del self._unheard[channel]
                 lane.append(unheard[1])
                 self.sim.schedule_reserved(unheard[0], self._deliver, channel)

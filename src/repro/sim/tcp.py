@@ -234,13 +234,14 @@ class TcpSender:
     def _arm(self, deadline: float) -> None:
         self._rto_deadline = deadline
         timer = self._timer
-        if timer is not None and timer[2] is not None:  # still pending
-            if timer[0] <= deadline:
+        sim = self.sim
+        if timer is not None and sim.pending(timer):
+            if sim.time_of(timer) <= deadline:
                 return  # standing event fires first and re-arms itself
             # RTO shrank below the standing event (fresh RTT sample after
             # a backoff): the event would fire too late, so move it.
-            self.sim.cancel(timer)
-        self._timer = self.sim.schedule_at(deadline, self._on_timer)
+            sim.cancel(timer)
+        self._timer = sim.schedule_at(deadline, self._on_timer)
 
     def _cancel_timer(self) -> None:
         self._rto_deadline = math.inf

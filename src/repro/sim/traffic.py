@@ -86,7 +86,7 @@ class PingService:
 
         def reply() -> None:
             timer = timer_box["t"]
-            if timer is not None and timer[2] is not None:  # still pending
+            if timer is not None and self.sim.pending(timer):
                 self.sim.cancel(timer)
                 on_result(True)
 

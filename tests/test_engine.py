@@ -19,11 +19,6 @@ def make_sim(profiled: bool, seed: int = 1234) -> Simulator:
     return Simulator(seed=seed, telemetry=Telemetry(enabled=True) if profiled else None)
 
 
-def pending(event) -> bool:
-    """An event ``[time, seq, fn, args]`` is pending until ``fn`` is cleared."""
-    return event[2] is not None
-
-
 @pytest.fixture
 def sim(request):
     """The simulator under test: plain, or with telemetry on in the
@@ -168,16 +163,16 @@ class TestCancellation:
     def test_pending_lifecycle(self, sim):
         log = []
         event = sim.schedule(1.0, log.append, "fired")
-        assert pending(event) and event[0] == 1.0
+        assert sim.pending(event) and sim.time_of(event) == 1.0
         sim.run()
-        assert not pending(event)
+        assert not sim.pending(event)
         assert log == ["fired"]
 
     def test_cancelled_handle_not_pending(self, sim):
         log = []
         event = sim.schedule(1.0, log.append, "fired")
         sim.cancel(event)
-        assert not pending(event)
+        assert not sim.pending(event)
         sim.run()
         assert log == []
 
@@ -347,7 +342,7 @@ class HeapBookkeeping:
         sim.schedule(1.5, early_killer)
         sim.run()
         assert fired == ["victim", "killer"]
-        assert killed == [1.5] and not pending(later)
+        assert killed == [1.5] and not sim.pending(later)
         assert sim.events_processed == 3
 
     def test_compaction_during_run_keeps_schedule_intact(self, sim):
@@ -367,7 +362,7 @@ class HeapBookkeeping:
         sim.run()
         assert fired == list(range(5))
         assert sim.compactions >= 1
-        assert not any(pending(event) for event in survivors)
+        assert not any(sim.pending(event) for event in survivors)
         assert sim.events_processed == 1 + len(survivors)
 
 
@@ -414,10 +409,10 @@ class TestTupleHeapProperties(HeapBookkeeping):
             events.append(event)
             if cancel:
                 sim.cancel(event)
-        live = sum(1 for event in events if pending(event))
+        live = sum(1 for event in events if sim.pending(event))
         assert sim.pending_events() == live
         sim.run(until=25.0)
-        still_live = sum(1 for event in events if pending(event))
+        still_live = sum(1 for event in events if sim.pending(event))
         assert sim.pending_events() == still_live
 
 
@@ -514,7 +509,7 @@ class TestOneRecordProperty:
                 assert sim.now == until
             assert log == want
             assert sim.pending_events() == sum(e[2] == "pending" for e in ref)
-            assert [pending(e) for e in events] == [r[2] == "pending" for r in ref]
+            assert [sim.pending(e) for e in events] == [r[2] == "pending" for r in ref]
         sim.run()
         ref_run(math.inf)
         assert log == want

@@ -302,15 +302,15 @@ class TestLazyRtoTimer:
         sender.start()
         sim.run(until=0.3)
         event = sender._timer
-        assert event is not None and event[2] is not None  # still pending
-        assert event[0] <= sender._rto_deadline
+        assert event is not None and sim.pending(event)
+        assert sim.time_of(event) <= sender._rto_deadline
 
     def test_stale_fire_is_a_noop_on_healthy_flow(self, sim):
         pipe = Pipe(sim, one_way_s=0.05)
         sender, _ = pipe.build(total_bytes=None)
         sender.start()
         sim.run(until=0.01)
-        first_event_time = sender._timer[0]
+        first_event_time = sim.time_of(sender._timer)
         sim.run(until=first_event_time + 1.0)
         # The original engine event fired long ago, but ACKs kept pushing
         # the logical deadline out, so no spurious RTO happened.
@@ -332,16 +332,16 @@ class TestLazyRtoTimer:
         sender, _ = pipe.build(total_bytes=None)
         sender.start()
         sim.run(until=0.05)
-        standing = sender._timer[0]
+        standing = sim.time_of(sender._timer)
         sender._arm(sim.now + 10.0)
         # Growing the deadline leaves the early standing event in place
         # (it will fire as a no-op and chase the new deadline).
-        assert sender._timer[0] == standing
+        assert sim.time_of(sender._timer) == standing
         sender._arm(sim.now + 0.5)
         # Shrinking it below the standing event must move the event, or
         # the RTO would fire late.
-        assert sender._timer[0] == pytest.approx(sim.now + 0.5)
-        assert sender._timer[0] < standing
+        assert sim.time_of(sender._timer) == pytest.approx(sim.now + 0.5)
+        assert sim.time_of(sender._timer) < standing
 
     def test_close_disarms_logically_and_physically(self, sim):
         import math as _math
@@ -352,7 +352,7 @@ class TestLazyRtoTimer:
         sim.run(until=0.2)
         sender.close()
         assert sender._rto_deadline == _math.inf
-        assert sender._timer is None or sender._timer[2] is None
+        assert sender._timer is None or not sim.pending(sender._timer)
         timeouts_before = sender.timeouts
         sim.run(until=5.0)
         assert sender.timeouts == timeouts_before
