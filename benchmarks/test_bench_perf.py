@@ -99,9 +99,9 @@ def test_perf_engine_micro(report):
         keep = sim.schedule(1.0, tick)
         # Mirror the link-layer pattern: most armed timers are cancelled.
         for _ in range(4):
-            sim.schedule(2.0, _noop).cancel()
+            sim.cancel(sim.schedule(2.0, _noop))
         if fired >= 200_000:
-            keep.cancel()
+            sim.cancel(keep)
 
     for i in range(100):
         sim.schedule(0.001 * i, tick)
@@ -237,9 +237,9 @@ def _telemetry_micro(telemetry) -> float:
         fired += 1
         keep = sim.schedule(1.0, tick)
         for _ in range(4):
-            sim.schedule(2.0, _noop).cancel()
+            sim.cancel(sim.schedule(2.0, _noop))
         if fired >= 60_000:
-            keep.cancel()
+            sim.cancel(keep)
 
     for i in range(50):
         sim.schedule(0.001 * i, tick)
