@@ -14,11 +14,6 @@ Measured workloads:
                          parallel, recording the wall-clock speedup
 * ``timeout_grid``     — two cells of the join-timeout grid
 * ``fleet``            — a two-vehicle shared-town drive
-* ``fleet_sharded``    — one fleet trial's vehicles sharded across workers,
-                         recording the wall-clock speedup and bit-equality
-                         (shard count is clamped to the machine's cores, so
-                         a 1-core CI box runs in-process at ~1.0x instead of
-                         paying pure process overhead)
 * ``cache_warm``       — the Table 2 suite cold then warm through the
                          content-addressed result cache, recording the
                          warm-over-cold speedup and byte-identity
@@ -297,44 +292,6 @@ def test_perf_telemetry_overhead(report):
         f"disabled telemetry costs {100 * overhead:.2f}% "
         f"({null_best:.0f} -> {disabled_best:.0f} events/sec)"
     )
-
-
-def test_perf_fleet_sharded(report):
-    """Per-vehicle fleet sharding: wall-clock vs one process, same bits.
-
-    ``run_sharded`` clamps the shard count to the machine's cores (PR 5):
-    on a 1-core box the "sharded" run executes in-process and the honest
-    expectation is ~1.0x, not a speedup.  The recorded ``effective_shards``
-    says which regime this measurement is from.
-    """
-    from repro.experiments.fleet import _run_fleet, run_sharded_trial
-    from repro.runner.pool import _shard_capacity
-
-    vehicles = 4
-    duration = _duration()
-    t0 = time.perf_counter()
-    unsharded = _run_fleet(vehicles, seed=0, duration_s=duration, town_preset="amherst")
-    unsharded_wall = time.perf_counter() - t0
-    workers = max(bench_workers(), 2)
-    effective = min(workers, vehicles, _shard_capacity())
-    t0 = time.perf_counter()
-    sharded = run_sharded_trial(vehicles, seed=0, duration_s=duration, workers=workers)
-    sharded_wall = time.perf_counter() - t0
-    assert sharded == unsharded  # bit-for-bit merge, the PR-3 guarantee
-    _record(
-        "fleet_sharded",
-        vehicles=vehicles,
-        unsharded_wall_s=unsharded_wall,
-        sharded_wall_s=sharded_wall,
-        shard_workers=workers,
-        effective_shards=effective,
-        speedup=unsharded_wall / sharded_wall,
-        sharded_equal=True,
-    )
-    report("perf/fleet_sharded", json.dumps(_PERF["fleet_sharded"], indent=2))
-    if effective <= 1:
-        # In-process fallback: sharding must not cost process overhead.
-        assert sharded_wall <= unsharded_wall * 1.5
 
 
 def test_perf_cache_warm(report):

@@ -327,7 +327,7 @@ def main(argv=None) -> int:
         if not snapshots:
             print(
                 f"warning: {args.experiment!r} produced no telemetry "
-                "(analytic experiments ignore --telemetry)",
+                "(its result carries no telemetry snapshots)",
                 file=sys.stderr,
             )
     if args.telemetry is not None and snapshots:

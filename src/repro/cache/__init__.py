@@ -47,13 +47,13 @@ counters; :meth:`TrialCache.snapshot` freezes them for export and
 :meth:`TrialCache.describe` renders the one-line summary the CLI prints.
 
 Enablement (first match wins): an explicit ``cache=`` argument to
-:func:`repro.runner.run_jobs` / :func:`~repro.runner.run_sharded`, the
-cache activated by the enclosing :func:`activate` context (how
-``ExperimentSpec.cache`` and the ``--cache`` CLI flag plumb through), or
-the ``REPRO_CACHE`` environment variable.  The cache directory defaults to
-``REPRO_CACHE_DIR`` or ``.repro_cache``.  The cache is **off** unless one
-of those turns it on — a cold run's behavior is the contract, the cache
-only skips work whose outcome is already known byte-for-byte.
+:func:`repro.runner.run_jobs`, the cache activated by the enclosing
+:func:`activate` context (how ``ExperimentSpec.cache`` and the
+``--cache`` CLI flag plumb through), or the ``REPRO_CACHE`` environment
+variable.  The cache directory defaults to ``REPRO_CACHE_DIR`` or
+``.repro_cache``.  The cache is **off** unless one of those turns it on —
+a cold run's behavior is the contract, the cache only skips work whose
+outcome is already known byte-for-byte.
 
 ``python -m repro.cache stats|prune|verify`` operates on the store from
 the command line.  ``REPRO_CACHE_MAX_BYTES`` (or ``TrialCache(...,

@@ -71,8 +71,8 @@ class SpiderClient:
         self.links_established = 0
         #: Per-client telemetry scope: every instrument/span this client
         #: (and its LMM/DHCP machinery) records is prefixed "<client_id>.",
-        #: which is what lets fleet shards extract one vehicle's slice of a
-        #: shared capture (TelemetrySnapshot.scoped).
+        #: which is what lets the fleet experiment extract one vehicle's
+        #: slice of a shared capture (TelemetrySnapshot.scoped).
         self.obs = sim.telemetry.scope(client_id)
         self._obs_ttfb = self.obs.histogram("tcp.time_to_first_byte_s")
         #: §4.1 config (4): the multi-channel schedule is used for

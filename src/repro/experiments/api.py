@@ -6,9 +6,9 @@ trial to one whole experiment:
 
 * :class:`ExperimentSpec` is the frozen, picklable base spec carrying the
   vocabulary shared by (almost) every experiment — ``seeds``,
-  ``duration_s``, ``town``, the :mod:`repro.runner` knobs ``workers``
-  / ``timeout_s`` / ``retries``, and the ``transport`` / ``contention``
-  choices that its :attr:`~ExperimentSpec.stack` hands every world.
+  ``duration_s``, ``town``, the :mod:`repro.runner` worker count
+  ``workers``, and the ``transport`` / ``contention`` choices that its
+  :attr:`~ExperimentSpec.stack` hands every world.
   Each module subclasses it with its own extras (fractions, labels,
   fleet sizes, ...) and may override defaults.
   Analytic experiments (fig3, fig4) simply ignore the fields that have no
@@ -57,28 +57,27 @@ class ExperimentSpec:
     frozen, picklable value object: running the same spec twice yields the
     same result.  Fields an experiment does not use are ignored (fig3 and
     fig4 are pure analytic models, so ``seeds`` and ``town`` have no
-    effect there); ``workers``/``timeout_s``/``retries`` default to the
-    ``REPRO_WORKERS``/``REPRO_TRIAL_TIMEOUT``/``REPRO_TRIAL_RETRIES``
-    environment resolution in :mod:`repro.runner`.
+    effect there).  ``workers`` defaults to the ``REPRO_WORKERS``
+    resolution in :mod:`repro.runner`; the per-trial timeout and retry
+    count are the ``REPRO_TRIAL_TIMEOUT`` and ``REPRO_TRIAL_RETRIES``
+    environment knobs, which :func:`~repro.runner.run_jobs` reads.
     """
 
     seeds: Tuple[int, ...] = (0, 1)
     duration_s: float = DEFAULT_TRIAL_DURATION_S
     town: str = "amherst"
     workers: Optional[int] = None
-    timeout_s: Optional[float] = None
-    retries: Optional[int] = None
-    #: Capture :mod:`repro.obs` telemetry per trial.  Town-trial-based
-    #: experiments thread this into their TownTrialSpec grid; analytic
-    #: experiments ignore it.  Telemetry never perturbs simulation
+    #: Capture :mod:`repro.obs` telemetry per trial.  Experiments whose
+    #: results keep their trials' snapshots set it on every trial they
+    #: run; the others ignore it.  Telemetry never perturbs simulation
     #: results — metrics are bit-identical either way.
     telemetry: bool = False
     #: Trial-result cache: ``True``/``False`` force it on/off, ``None``
     #: defers to the ``REPRO_CACHE`` environment variable.  The experiment
     #: registry activates the resolved :class:`repro.cache.TrialCache`
-    #: around the runner, so every trial fan-out underneath (including
-    #: sharded fleets) memoizes transparently.  Warm results — telemetry
-    #: snapshots included — are byte-identical to cold ones.
+    #: around the runner, so every trial fan-out underneath memoizes
+    #: transparently.  Warm results — telemetry snapshots included — are
+    #: byte-identical to cold ones.
     cache: Optional[bool] = None
     #: Cache directory (``None``: ``REPRO_CACHE_DIR`` or ``.repro_cache``).
     cache_dir: Optional[str] = None

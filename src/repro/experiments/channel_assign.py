@@ -348,9 +348,7 @@ def run_spec(spec: ChannelAssignSpec) -> ChannelAssignResult:
         for policy in spec.policies
         for seed in spec.seeds
     ]
-    envelopes = run_jobs(
-        jobs, workers=spec.workers, timeout_s=spec.timeout_s, retries=spec.retries
-    )
+    envelopes = run_jobs(jobs, workers=spec.workers)
     return ChannelAssignResult(
         rows=[e.unwrap() for e in envelopes],
         strategies=list(spec.strategies),

@@ -7,26 +7,27 @@ client (Spider in any configuration, or the stock baseline);
 client factory and post-process the returned :class:`TownRunMetrics`.
 
 Trials are independent — each builds its own :class:`Simulator` from its
-seed — so :func:`run_town_trials` and the suite-level helpers fan them out
-across worker processes via :mod:`repro.runner`.  A trial's outcome is a
-pure function of its :class:`TownTrialSpec`, which is what makes the
-parallel path bit-identical to the serial one.  The spec's world stack
-(transport and contention) is one :class:`~repro.sim.world.StackSpec`
-value, which every helper here takes as ``stack`` and hands to the town's
-:class:`World` unchanged.  Factories passed to the parallel path must be
+seed — so :func:`aggregate_town_trials`, the one town-trial fan-out, runs
+a grid of :class:`TownTrialSpec` values across worker processes via
+:mod:`repro.runner`.  A trial's outcome is a pure function of its spec,
+which is what makes the parallel path bit-identical to the serial one.
+The spec carries everything the trial needs, its telemetry flag and its
+world stack included (transport and contention, one
+:class:`~repro.sim.world.StackSpec` value handed to the town's
+:class:`World` unchanged).  Factories passed to the parallel path must be
 picklable (module-level functions or dataclass callables, as in
-:mod:`repro.experiments.town_runs`); unpicklable ad-hoc factories
-silently fall back to serial execution.
+:mod:`repro.experiments.town_runs`); unpicklable ad-hoc factories fall
+back to serial execution with a warning.
 """
 
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, replace
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
+from dataclasses import dataclass
+from typing import Callable, Dict, List, Optional, Sequence, Union
 
 from ..obs.telemetry import Telemetry, TelemetrySnapshot, merge_snapshots
-from ..runner import TrialJob, TrialResult, run_jobs, unwrap_all
+from ..runner import TrialJob, run_jobs, unwrap_all
 from ..sim.engine import Simulator
 from ..sim.faults import FaultPlan, install_faults
 from ..sim.metrics import JoinLog
@@ -42,9 +43,6 @@ __all__ = [
     "run_town_trial",
     "run_town_trial_spec",
     "run_town_trials",
-    "run_town_trial_specs",
-    "run_town_trial_envelopes",
-    "salvage_town_trials",
     "aggregate_town_trials",
     "DEFAULT_TRIAL_DURATION_S",
     "DEFAULT_VEHICLE_SPEED_MPS",
@@ -233,121 +231,48 @@ def run_town_trial_spec(spec: TownTrialSpec) -> TownRunMetrics:
     )
 
 
-def run_town_trial_envelopes(
+def aggregate_town_trials(
     specs: Sequence[TownTrialSpec],
     workers: Optional[int] = None,
-    timeout_s: Optional[float] = None,
-    retries: Optional[int] = None,
-    telemetry: Optional[bool] = None,
-    cache: Optional[object] = None,
-    stack: Optional[StackSpec] = None,
-) -> List[TrialResult]:
-    """Fan trial specs across workers; envelopes in spec order.
+    strict: bool = False,
+) -> Dict[str, AggregatedMetrics]:
+    """Fan trial specs out and regroup the results per label, in spec order.
 
-    This is the shared fan-out for every multi-trial experiment: callers
-    flatten their whole ``config x seed`` grid into one batch so the pool
-    balances across all of it, then regroup the ordered results.  Each
-    envelope's ``tag`` is ``(label, seed)``; failed trials come back as
-    ``ok=False`` without disturbing their siblings.
+    This is the one town-trial fan-out behind :func:`run_town_trials` and
+    every suite-level grid: callers flatten their whole ``config x seed``
+    grid into one batch so the pool balances across all of it, with each
+    trial's telemetry flag and stack set on its spec.  Each job's ``tag``
+    is ``(label, seed)``.  A failed trial is dropped with a warning so a
+    suite keeps whatever completed; ``strict`` raises
+    :class:`~repro.runner.TrialError` naming every failure instead.
+    Iteration follows spec order, so per-label trial lists stay in seed
+    order and parallel aggregates are bit-identical to serial ones.
 
-    ``telemetry`` (non-``None``) overrides every spec's ``telemetry``
-    field, which is how experiments thread the shared
-    ``ExperimentSpec.telemetry`` flag through an existing grid without
-    each module rebuilding its specs.  ``stack`` (non-``None``)
-    overrides every spec's ``stack`` the same way.
-
-    ``cache`` resolves via :func:`repro.cache.resolve_cache`; because a
-    trial spec is frozen and picklable, its content address covers the
-    factory, seed, duration, town, fault plan, telemetry flag and stack, so an
-    already-computed trial — snapshot included — is replayed from the
-    cache instead of re-simulated.
+    The per-trial timeout and retry count come from
+    ``REPRO_TRIAL_TIMEOUT`` and ``REPRO_TRIAL_RETRIES``, and the trial
+    cache and sweep fabric are the ambient ones
+    (:func:`repro.cache.activate`, :func:`repro.fabric.activate`).  A
+    spec's cache address covers every field, telemetry flag and stack
+    included.
     """
-    if telemetry is not None:
-        specs = [replace(spec, telemetry=telemetry) for spec in specs]
-    if stack is not None:
-        specs = [replace(spec, stack=stack) for spec in specs]
     jobs = [
         TrialJob(run_town_trial_spec, (spec,), tag=(spec.label, spec.seed))
         for spec in specs
     ]
-    return run_jobs(
-        jobs, workers=workers, timeout_s=timeout_s, retries=retries, cache=cache
-    )
-
-
-def run_town_trial_specs(
-    specs: Sequence[TownTrialSpec],
-    workers: Optional[int] = None,
-) -> List[TownRunMetrics]:
-    """Strict fan-out: metrics in spec order, or :class:`TrialError`.
-
-    Use :func:`run_town_trial_envelopes` plus :func:`salvage_town_trials`
-    when partial results are worth keeping.
-    """
-    return unwrap_all(run_town_trial_envelopes(specs, workers=workers))
-
-
-def salvage_town_trials(
-    specs: Sequence[TownTrialSpec],
-    envelopes: Sequence[TrialResult],
-) -> List[Tuple[TownTrialSpec, TownRunMetrics]]:
-    """Pair each successful envelope with its spec, warning per failure.
-
-    Suites aggregate whatever completed instead of losing an overnight run
-    to one bad trial; the warning keeps the loss visible in logs.
-    """
-    kept: List[Tuple[TownTrialSpec, TownRunMetrics]] = []
+    envelopes = run_jobs(jobs, workers=workers)
+    if strict:
+        unwrap_all(envelopes)
+    per_label: Dict[str, AggregatedMetrics] = {}
     for spec, result in zip(specs, envelopes):
-        if result.ok:
-            kept.append((spec, result.value))
-        else:
+        if not result.ok:
             warnings.warn(
                 f"dropping trial {result.tag!r} after {result.attempts} "
                 f"attempt(s): {result.error}"
             )
-    return kept
-
-
-def aggregate_town_trials(
-    specs: Sequence[TownTrialSpec],
-    envelopes: Optional[Sequence[TrialResult]] = None,
-    workers: Optional[int] = None,
-    timeout_s: Optional[float] = None,
-    retries: Optional[int] = None,
-    strict: bool = False,
-    telemetry: Optional[bool] = None,
-    cache: Optional[object] = None,
-    stack: Optional[StackSpec] = None,
-) -> Dict[str, AggregatedMetrics]:
-    """Fan specs out and regroup the results per label, in spec order.
-
-    The single aggregation path behind :func:`run_town_trials` and every
-    suite-level grid: ``envelopes=None`` runs the batch here; passing
-    envelopes regroups results already in hand.  ``strict`` raises
-    :class:`~repro.runner.TrialError` on the first failed trial instead of
-    salvaging the survivors, matching the old :func:`run_town_trial_specs`
-    contract.  Iteration follows spec order, so per-label trial lists stay
-    in seed order and parallel aggregates are bit-identical to serial ones.
-    """
-    if envelopes is None:
-        envelopes = run_town_trial_envelopes(
-            specs,
-            workers=workers,
-            timeout_s=timeout_s,
-            retries=retries,
-            telemetry=telemetry,
-            cache=cache,
-            stack=stack,
-        )
-    if strict:
-        pairs = list(zip(specs, unwrap_all(envelopes)))
-    else:
-        pairs = salvage_town_trials(specs, envelopes)
-    per_label: Dict[str, AggregatedMetrics] = {}
-    for spec, trial in pairs:
+            continue
         per_label.setdefault(
             spec.label, AggregatedMetrics(label=spec.label, trials=[])
-        ).trials.append(trial)
+        ).trials.append(result.value)
     return per_label
 
 

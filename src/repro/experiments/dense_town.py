@@ -160,7 +160,6 @@ class DenseTownResult:
 def run_dense_trial(
     spec: DenseTownSpec,
     seed: int,
-    telemetry: Optional[bool] = None,
     timings: Optional[dict] = None,
 ) -> DenseTownRow:
     """Drive the full fleet once and fold the outcome into a row.
@@ -174,10 +173,9 @@ def run_dense_trial(
     which the perf benches leave out of their rates.  It never touches
     the row, which must stay a pure function of (spec, seed).
     """
-    with_telemetry = spec.telemetry if telemetry is None else telemetry
     tele = (
         Telemetry(enabled=True, key=("dense_town", spec.n_vehicles, seed))
-        if with_telemetry
+        if spec.telemetry
         else None
     )
     sim = Simulator(seed=seed, telemetry=tele)
@@ -238,8 +236,6 @@ def run_spec(spec: DenseTownSpec) -> DenseTownResult:
         TrialJob(run_dense_trial, (spec, seed), tag=("dense_town", seed))
         for seed in spec.seeds
     ]
-    envelopes = run_jobs(
-        jobs, workers=spec.workers, timeout_s=spec.timeout_s, retries=spec.retries
-    )
+    envelopes = run_jobs(jobs, workers=spec.workers)
     return DenseTownResult(rows=[e.unwrap() for e in envelopes])
 

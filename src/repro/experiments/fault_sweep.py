@@ -242,18 +242,13 @@ def run_spec(spec: FaultSweepSpec) -> FaultSweepResult:
             duration_s=spec.duration_s,
             town=spec.town,
             faults=plan,
+            telemetry=spec.telemetry,
             stack=spec.stack,
         )
         for scenario, client_label, factory, plan in grid
         for seed in spec.seeds
     ]
-    per_label = aggregate_town_trials(
-        specs,
-        workers=spec.workers,
-        timeout_s=spec.timeout_s,
-        retries=spec.retries,
-        telemetry=True if spec.telemetry else None,
-    )
+    per_label = aggregate_town_trials(specs, workers=spec.workers)
     rows = [
         _pool_row(
             scenario,

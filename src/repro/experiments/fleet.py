@@ -12,14 +12,14 @@ different stations — but they split its backhaul).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Tuple
 
 from ..analysis.reporting import format_table
 from ..core.link_manager import SpiderConfig
 from ..core.schedule import OperationMode
 from ..core.spider import SpiderClient
 from ..obs.telemetry import Telemetry, TelemetrySnapshot
-from ..runner import ShardedJob, TrialJob, run_jobs, run_sharded
+from ..runner import TrialJob, run_jobs
 from ..sim.engine import Simulator
 from ..sim.world import StackSpec
 from ..workloads.town import build_town
@@ -30,7 +30,6 @@ __all__ = [
     "FleetRow",
     "FleetResult",
     "run_spec",
-    "run_sharded_trial",
 ]
 
 
@@ -82,30 +81,24 @@ class FleetResult:
         )
 
 
-def _vehicle_stats(
-    vehicle_indices: Sequence[int],
+def _run_fleet(
     n_vehicles: int,
     seed: int,
     duration_s: float,
     town_preset: str,
     telemetry: bool = False,
     stack: StackSpec = StackSpec(),
-) -> List[Tuple]:
-    """Drive the full ``n_vehicles`` fleet, extract stats for a subset.
+) -> FleetRow:
+    """Drive an ``n_vehicles`` fleet around one town and fold it into a row.
 
     Vehicles interact through shared airtime, backhaul, and the LMM's
-    one-interface-per-AP rule, so *every* call simulates the complete
-    coupled fleet — the dynamics are a pure function of the seed.  A shard
-    replays the identical run and reads out only its own vehicles'
-    ``(throughput_kBps, connectivity_pct)`` pairs, which is what makes the
-    sharded merge bit-identical to a single-process run.
+    one-interface-per-AP rule, so the fleet is one coupled simulation
+    whose dynamics are a pure function of the seed.  Sums run in vehicle
+    order.
 
-    With ``telemetry=True`` each tuple gains a third element: the
-    vehicle's ``"veh{i}."``-scoped :class:`TelemetrySnapshot` slice of the
-    shared capture.  Because every shard replays the identical coupled
-    simulation, a vehicle's slice is the same no matter which shard
-    extracts it — so the concatenated sharded telemetry is byte-identical
-    to the single-process capture, vehicle for vehicle.
+    With ``telemetry=True`` the row carries each vehicle's
+    ``"veh{i}."``-scoped :class:`TelemetrySnapshot` slice of the shared
+    capture, in vehicle order.
     """
     tele = (
         Telemetry(enabled=True, key=("fleet", n_vehicles, seed))
@@ -127,36 +120,12 @@ def _vehicle_stats(
         client.start()
         clients.append(client)
     sim.run(until=duration_s)
+    snapshots = None
     if tele is not None:
         snap = tele.snapshot()
-        return [
-            (
-                clients[i].average_throughput_kBps(duration_s),
-                clients[i].connectivity_percent(duration_s),
-                snap.scoped(f"veh{i}."),
-            )
-            for i in vehicle_indices
-        ]
-    return [
-        (
-            clients[i].average_throughput_kBps(duration_s),
-            clients[i].connectivity_percent(duration_s),
-        )
-        for i in vehicle_indices
-    ]
-
-
-def _row_from_stats(n_vehicles: int, stats: Sequence[Tuple]) -> FleetRow:
-    """Fold per-vehicle ``(throughput, connectivity[, telemetry])`` tuples
-    into a row.
-
-    Sums run in vehicle order, so sharded (concatenated) and unsharded
-    stat lists produce bit-identical floats — and identical telemetry
-    tuples, when present.
-    """
-    throughputs = [s[0] for s in stats]
-    connectivities = [s[1] for s in stats]
-    snapshots = tuple(s[2] for s in stats if len(s) > 2) or None
+        snapshots = tuple(snap.scoped(f"veh{i}.") for i in range(n_vehicles))
+    throughputs = [c.average_throughput_kBps(duration_s) for c in clients]
+    connectivities = [c.connectivity_percent(duration_s) for c in clients]
     return FleetRow(
         vehicles=n_vehicles,
         per_vehicle_kBps=sum(throughputs) / n_vehicles,
@@ -164,58 +133,6 @@ def _row_from_stats(n_vehicles: int, stats: Sequence[Tuple]) -> FleetRow:
         mean_connectivity_pct=sum(connectivities) / n_vehicles,
         vehicle_telemetry=snapshots,
     )
-
-
-def _run_fleet(
-    n_vehicles: int,
-    seed: int,
-    duration_s: float,
-    town_preset: str,
-    telemetry: bool = False,
-    stack: StackSpec = StackSpec(),
-) -> FleetRow:
-    return _row_from_stats(
-        n_vehicles,
-        _vehicle_stats(
-            range(n_vehicles), n_vehicles, seed, duration_s, town_preset,
-            telemetry, stack,
-        ),
-    )
-
-
-def run_sharded_trial(
-    n_vehicles: int,
-    seed: int,
-    duration_s: float = 300.0,
-    town_preset: str = "amherst",
-    workers: Optional[int] = None,
-    timeout_s: Optional[float] = None,
-    retries: Optional[int] = None,
-    telemetry: bool = False,
-    stack: StackSpec = StackSpec(),
-) -> FleetRow:
-    """One fleet trial with its vehicles sharded across worker processes.
-
-    Each shard replays the same coupled simulation (same seed, all
-    ``n_vehicles`` present) and extracts metrics for its own contiguous
-    slice of vehicles; :func:`repro.runner.run_sharded` merges the slices
-    in vehicle order, so the returned row is bit-for-bit equal to
-    :func:`_run_fleet` under the same seed.  What sharding buys is the
-    runner's per-shard envelope machinery — timeout, retry, and crash
-    isolation at sub-trial granularity — and parallel metric extraction
-    for very large fleets; the replayed dynamics themselves are not
-    parallelized (that would decouple the vehicles and change the result).
-    """
-    job = ShardedJob(
-        fn=_vehicle_stats,
-        items=tuple(range(n_vehicles)),
-        args=(n_vehicles, seed, duration_s, town_preset, telemetry, stack),
-        tag=("fleet", n_vehicles, seed),
-    )
-    envelope = run_sharded(
-        job, workers=workers, timeout_s=timeout_s, retries=retries
-    )
-    return _row_from_stats(n_vehicles, envelope.unwrap())
 
 
 @dataclass(frozen=True)

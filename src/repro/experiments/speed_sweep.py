@@ -93,13 +93,12 @@ def run_spec(spec: SpeedSweepSpec) -> SpeedSweepResult:
             duration_s=spec.duration_s,
             town=spec.town,
             speed_mps=speed,
+            stack=spec.stack,
         )
         for speed, name, mode in grid
         for seed in spec.seeds
     ]
-    per_label = aggregate_town_trials(
-        specs, workers=spec.workers, stack=spec.stack
-    )
+    per_label = aggregate_town_trials(specs, workers=spec.workers)
     series: Dict[str, List[Tuple[float, float]]] = {name: [] for name in POLICIES}
     for speed, name, _mode in grid:
         label = f"{name}@{speed}"

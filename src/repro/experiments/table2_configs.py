@@ -157,7 +157,7 @@ def run_spec(spec: Table2Spec) -> Table2Result:
             duration_s=spec.duration_s,
             include_cambridge=spec.include_cambridge,
             workers=spec.workers,
-            telemetry=spec.telemetry or None,
+            telemetry=spec.telemetry,
             stack=spec.stack,
         )
     )

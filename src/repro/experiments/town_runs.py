@@ -162,7 +162,7 @@ def run_configuration_suite(
     include_cambridge: bool = True,
     labels: Optional[Sequence[str]] = None,
     workers: Optional[int] = None,
-    telemetry: Optional[bool] = None,
+    telemetry: bool = False,
     stack: StackSpec = StackSpec(),
 ) -> ConfigurationSuite:
     """Run the whole configuration grid (the expensive shared step).
@@ -193,11 +193,11 @@ def run_configuration_suite(
             seed=seed,
             duration_s=duration_s,
             town=town,
+            telemetry=telemetry,
+            stack=stack,
         )
         for label, (factory, town) in factories.items()
         for seed in seeds
     ]
-    results = aggregate_town_trials(
-        specs, workers=workers, telemetry=telemetry, stack=stack
-    )
+    results = aggregate_town_trials(specs, workers=workers)
     return ConfigurationSuite(results=results, duration_s=duration_s, seeds=seeds)

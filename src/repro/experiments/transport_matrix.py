@@ -22,10 +22,11 @@ any active cache or sweep fabric) exactly like every other experiment.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import List, Tuple
+from typing import List, Optional, Tuple
 
 from ..analysis.ascii_plot import heatmap
 from ..analysis.reporting import format_table
+from ..obs.telemetry import TelemetrySnapshot
 from ..sim.cc import CC_NAMES
 from .api import ExperimentSpec, register
 from .common import AggregatedMetrics, TownTrialSpec, aggregate_town_trials
@@ -79,6 +80,10 @@ class TransportMatrixResult:
     policies: List[str]
     ccs: List[str]
     splits: List[bool]
+    #: Per-trial snapshots in grid-then-seed order when the spec ran with
+    #: ``telemetry=True`` (``None`` otherwise); the ``--telemetry`` export
+    #: picks them up via ``repro.obs.collect_snapshots``.
+    telemetry: Optional[Tuple[TelemetrySnapshot, ...]] = None
 
     def cell(self, policy: str, cc: str, split: bool) -> TransportCell:
         """The cell for one (policy, cc, split) combination."""
@@ -171,6 +176,7 @@ def run_spec(spec: TransportMatrixSpec) -> TransportMatrixResult:
             seed=seed,
             duration_s=spec.duration_s,
             town=spec.town,
+            telemetry=spec.telemetry,
             stack=replace(
                 stack, transport=replace(stack.transport, cc=cc, split=split)
             ),
@@ -178,13 +184,15 @@ def run_spec(spec: TransportMatrixSpec) -> TransportMatrixResult:
         for policy, cc, split in grid
         for seed in spec.seeds
     ]
-    per_label = aggregate_town_trials(
-        specs, workers=spec.workers, telemetry=spec.telemetry or None
-    )
+    per_label = aggregate_town_trials(specs, workers=spec.workers)
     cells = []
+    snapshots = []
     for policy, cc, split in grid:
         label = _cell_label(policy, cc, split)
         metrics = per_label.get(label, AggregatedMetrics(label=label, trials=[]))
+        snapshots.extend(
+            t.telemetry for t in metrics.trials if t.telemetry is not None
+        )
         cells.append(
             TransportCell(
                 policy=policy,
@@ -199,4 +207,5 @@ def run_spec(spec: TransportMatrixSpec) -> TransportMatrixResult:
         policies=list(spec.policies),
         ccs=list(spec.ccs),
         splits=list(spec.splits),
+        telemetry=tuple(snapshots) if spec.telemetry else None,
     )

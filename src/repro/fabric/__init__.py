@@ -118,8 +118,9 @@ class InProcessFabric:
         The fabric's own configured worker count wins over the caller's
         (``--fabric local:3`` means 3 simulated workers no matter what the
         pool would have used).  The ambient fabric is masked while jobs
-        execute so a job that itself fans out (e.g. a sharded trial) uses
-        the plain pool instead of recursing into the fabric.
+        execute so a job that itself fans out (calls
+        :func:`~repro.runner.run_jobs`) uses the plain pool instead of
+        recursing into the fabric.
         """
         count = resolve_workers(workers if self.workers is None else self.workers)
         with _mask():

@@ -4,7 +4,7 @@ The observability layer for the whole reproduction.  Components write
 into a :class:`~repro.obs.telemetry.Telemetry` registry (or its no-op
 null twin when disabled); per-trial :class:`TelemetrySnapshot` captures
 travel inside :class:`~repro.runner.TrialResult` envelopes, merge
-deterministically across pool workers and fleet shards, and export to
+deterministically across pool workers, and export to
 JSON / Chrome ``trace_event`` files via :mod:`repro.obs.export`.
 
 Quick start::

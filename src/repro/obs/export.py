@@ -92,9 +92,9 @@ def snapshot_from_jsonable(data: Dict[str, Any]) -> TelemetrySnapshot:
     """Rebuild a snapshot from :func:`snapshot_to_jsonable` output.
 
     JSON turns tuple keys into lists; the round-tripped ``key`` is a tuple
-    of the JSON-preserved elements, which keeps replica-dedup behaviour but
-    not tuple-vs-list identity with the original — compare snapshots before
-    export, not across a JSON round trip.
+    of the JSON-preserved elements, without tuple-vs-list identity with the
+    original — compare snapshots before export, not across a JSON round
+    trip.
     """
     return TelemetrySnapshot(
         key=tuple(data.get("key", ())),

@@ -4,8 +4,8 @@ This module is the core of the :mod:`repro.obs` subsystem.  It provides a
 :class:`Telemetry` registry that simulation components write into and an
 immutable :class:`TelemetrySnapshot` that travels inside the existing
 :class:`~repro.runner.TrialResult` envelopes, so per-trial observations
-survive the process-pool and fleet-shard fan-out and can be merged back
-deterministically (same bit-for-bit discipline as the metric merges).
+survive the process-pool fan-out and can be merged back deterministically
+(same bit-for-bit discipline as the metric merges).
 
 Design constraints, in order of importance:
 
@@ -28,8 +28,7 @@ Design constraints, in order of importance:
    projections across process layouts.
 3. **Mergeability.**  Snapshots are frozen, picklable, and merge by simple
    algebra: counters and histograms sum, gauges take the high-water max,
-   spans/events concatenate in merge order.  Replica snapshots (fleet
-   shards re-simulating the same coupled world) deduplicate by ``key``.
+   spans/events concatenate in merge order.
 
 See :mod:`repro.obs.export` for JSON / Chrome ``trace_event`` output.
 """
@@ -274,8 +273,7 @@ class Telemetry:
     ``clock`` is any object with a ``now`` attribute (the
     :class:`~repro.sim.engine.Simulator`); until one is bound via
     :meth:`bind_clock`, timestamps read 0.0.  ``key`` identifies the capture
-    (e.g. ``("town", label, seed)``) and drives replica-deduplication when
-    snapshots from shards that re-simulated the same world are merged.
+    (e.g. ``("town", label, seed)``) in exports.
     """
 
     def __init__(self, enabled: bool = True, key: Tuple = ()):
@@ -454,9 +452,9 @@ class Scope:
 
     Scopes are cheap and stateless; nesting concatenates prefixes
     (``tele.scope("veh0").scope("dhcp")`` writes ``veh0.dhcp.*``).  The
-    per-vehicle fleet capture relies on this: every shard re-simulates the
-    same coupled world, and a vehicle's telemetry is exactly the
-    ``"veh{i}."``-prefixed slice of the global registry (see
+    per-vehicle fleet capture relies on this: the fleet shares one
+    registry, and a vehicle's telemetry is exactly the
+    ``"veh{i}."``-prefixed slice of it (see
     :meth:`TelemetrySnapshot.scoped`).
     """
 
@@ -628,10 +626,8 @@ def merge_snapshots(
     The merge algebra mirrors the runner's result discipline: inputs are
     taken in submission order (``None`` entries — disabled captures — are
     skipped), counters and histogram buckets sum, gauges keep the maximum,
-    and spans/events concatenate in input order.  Snapshots sharing a
-    non-empty ``key`` are *replicas* (fleet shards re-simulate the same
-    coupled world); only the first replica contributes, which is what makes
-    the sharded merge bit-identical to the single-process capture.
+    and spans/events concatenate in input order.  Every snapshot
+    contributes, whatever its ``key``.
     """
     counters: Dict[str, float] = {}
     nondet_counters: Dict[str, float] = {}
@@ -642,14 +638,9 @@ def merge_snapshots(
     events: List[EventRecord] = []
     spans_dropped = 0
     events_dropped = 0
-    seen_keys = set()
     for snap in snapshots:
         if snap is None:
             continue
-        if snap.key:
-            if snap.key in seen_keys:
-                continue
-            seen_keys.add(snap.key)
         for name, value in snap.counters:
             counters[name] = counters.get(name, 0.0) + value
         for name, value in snap.nondet_counters:

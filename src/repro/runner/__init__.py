@@ -12,7 +12,6 @@ from .pool import (
     RETRIES_ENV,
     TIMEOUT_ENV,
     WORKERS_ENV,
-    ShardedJob,
     TrialError,
     TrialJob,
     TrialResult,
@@ -20,8 +19,6 @@ from .pool import (
     resolve_trial_timeout,
     resolve_workers,
     run_jobs,
-    run_sharded,
-    split_shards,
     unwrap_all,
 )
 
@@ -29,13 +26,10 @@ __all__ = [
     "TrialJob",
     "TrialResult",
     "TrialError",
-    "ShardedJob",
     "resolve_workers",
     "resolve_trial_timeout",
     "resolve_trial_retries",
     "run_jobs",
-    "run_sharded",
-    "split_shards",
     "unwrap_all",
     "WORKERS_ENV",
     "TIMEOUT_ENV",

@@ -40,8 +40,8 @@ Telemetry rides the same envelopes: a trial that captures a
 design) returns it inside its result object, and the submission-order merge
 discipline above is exactly what makes
 :func:`~repro.obs.telemetry.merge_snapshots` deterministic across worker
-counts — snapshots arrive in the same order whether the pool ran serial,
-parallel, or sharded (replica captures deduplicate by snapshot ``key``).
+counts — snapshots arrive in the same order whether the pool ran serial
+or parallel.
 
 Because a trial is a pure function of its job spec, the pool can also skip
 it entirely: when a :class:`~repro.cache.TrialCache` is in effect (explicit
@@ -73,13 +73,10 @@ __all__ = [
     "TrialResult",
     "TrialError",
     "TrialInterrupted",
-    "ShardedJob",
     "resolve_workers",
     "resolve_trial_timeout",
     "resolve_trial_retries",
     "run_jobs",
-    "run_sharded",
-    "split_shards",
     "unwrap_all",
     "WORKERS_ENV",
     "TIMEOUT_ENV",
@@ -539,128 +536,6 @@ def _drain_parallel(
         )
     assert all(r is not None for r in results)
     return results  # type: ignore[return-value]
-
-
-@dataclass(frozen=True)
-class ShardedJob:
-    """One trial whose per-item work can be split across workers.
-
-    ``fn(shard, *args, **kwargs)`` receives a contiguous subsequence of
-    ``items`` and must return one result per shard item, in shard order.
-    The canonical use is a fleet drive: the simulation's dynamics are a
-    pure function of the seed, so every shard replays the identical run
-    and extracts only its own vehicles' metrics; concatenating the shard
-    outputs in item order is then bit-identical to one process extracting
-    everything.  ``tag`` plays the same opaque-key role as on
-    :class:`TrialJob`.
-    """
-
-    fn: Callable[..., Sequence[Any]]
-    items: Tuple[Any, ...] = ()
-    args: Tuple[Any, ...] = ()
-    kwargs: Mapping[str, Any] = field(default_factory=dict)
-    tag: Any = None
-
-
-def split_shards(items: Sequence[Any], shards: int) -> List[Tuple[Any, ...]]:
-    """Deterministic contiguous split of ``items`` into ``shards`` chunks.
-
-    Early chunks get the remainder, every chunk is non-empty, and
-    concatenating the chunks reproduces ``items`` exactly — the property
-    the sharded merge relies on.
-    """
-    items = tuple(items)
-    if not items:
-        return []
-    count = max(1, min(shards, len(items)))
-    base, extra = divmod(len(items), count)
-    out: List[Tuple[Any, ...]] = []
-    start = 0
-    for k in range(count):
-        size = base + (1 if k < extra else 0)
-        out.append(items[start : start + size])
-        start += size
-    return out
-
-
-def _shard_capacity() -> int:
-    """How many shards are worth running as separate processes.
-
-    Every shard *replays the whole coupled simulation* and extracts only its
-    own items, so shards beyond the physical core count are pure overhead —
-    the same work re-simulated on a timeshared core (the committed
-    ``fleet_sharded`` bench once recorded a 0.477x "speedup" from exactly
-    that on a 1-core container).
-    """
-    return os.cpu_count() or 1
-
-
-def run_sharded(
-    job: ShardedJob,
-    workers: Optional[int] = None,
-    timeout_s: Optional[float] = None,
-    retries: Optional[int] = None,
-    cache: Any = None,
-) -> TrialResult:
-    """Run one :class:`ShardedJob` across workers and merge deterministically.
-
-    Items are split into contiguous shards (one per worker), each shard runs
-    as an ordinary :class:`TrialJob` — inheriting the envelope, per-shard
-    timeout, retry, crash-isolation, and result-cache machinery — and the
-    per-item results are concatenated in item order.  The merged envelope's
-    ``attempts`` is the worst shard's count.  Any failed shard fails the
-    whole trial (a partial fleet row is not a meaningful result), with every
-    shard's diagnosis preserved in ``error``.
-
-    The shard count is capped at the machine's core count (see
-    :func:`_shard_capacity`); when that leaves one shard — one core, one
-    item, or ``workers<=1`` — the job runs in-process with no worker
-    processes and no pickling, exactly like the serial trial path.  The
-    merged value is bit-identical across every layout either way.
-    """
-    items = tuple(job.items)
-    if not items:
-        return TrialResult(ok=True, value=[], tag=job.tag)
-    count = min(resolve_workers(workers), len(items), _shard_capacity())
-    shards = split_shards(items, count)
-    subjobs = [
-        TrialJob(
-            job.fn,
-            (shard,) + tuple(job.args),
-            job.kwargs,
-            tag=(job.tag, index),
-        )
-        for index, shard in enumerate(shards)
-    ]
-    envelopes = run_jobs(
-        subjobs, workers=count, timeout_s=timeout_s, retries=retries, cache=cache
-    )
-    attempts = max(e.attempts for e in envelopes)
-    failures = [e for e in envelopes if not e.ok]
-    if failures:
-        shown = "; ".join(f"shard {e.tag[1]}: {e.error}" for e in failures[:5])
-        more = f" (+{len(failures) - 5} more)" if len(failures) > 5 else ""
-        return TrialResult(
-            ok=False,
-            error=f"{len(failures)}/{len(shards)} shards failed: {shown}{more}",
-            attempts=attempts,
-            tag=job.tag,
-        )
-    merged: List[Any] = []
-    for index, (shard, envelope) in enumerate(zip(shards, envelopes)):
-        part = list(envelope.value)
-        if len(part) != len(shard):
-            return TrialResult(
-                ok=False,
-                error=(
-                    f"shard {index} returned {len(part)} results for "
-                    f"{len(shard)} items"
-                ),
-                attempts=attempts,
-                tag=job.tag,
-            )
-        merged.extend(part)
-    return TrialResult(ok=True, value=merged, attempts=attempts, tag=job.tag)
 
 
 def _dispatch_jobs(

@@ -1,21 +1,17 @@
-"""The medium's delivery lanes and fleet sharding must not change a bit.
+"""The medium's delivery lanes must not change a bit.
 
-Frame delivery, TCP segment coalescing, open-bin recorder arithmetic and
-fleet sharding are only admissible because they are semantics-preserving.
+Frame delivery, TCP segment coalescing and open-bin recorder arithmetic
+are only admissible because they are semantics-preserving.
 The medium's four reference drives — Spider single- and multi-channel,
 the stock driver, and a fault plan — are checked against the committed
-golden fingerprints (``tests/goldens.json``); sharded fleets are compared
-with a single process.
+golden fingerprints (``tests/goldens.json``).
 """
 
 from __future__ import annotations
 
-import pytest
-
 import test_goldens
 from repro.core.schedule import OperationMode
 from repro.experiments.common import run_town_trial
-from repro.experiments.fleet import _run_fleet, run_sharded_trial
 from repro.experiments.town_runs import spider_factory
 
 
@@ -43,18 +39,3 @@ class TestBatchedBitIdentity:
         a = run_town_trial(factory, "det", seed=8, duration_s=test_goldens.DRIVE_S)
         b = run_town_trial(factory, "det", seed=8, duration_s=test_goldens.DRIVE_S)
         assert test_goldens.digest(a) == test_goldens.digest(b)
-
-
-class TestShardedFleetBitIdentity:
-    @pytest.mark.parametrize("n_vehicles", [1, 3])
-    def test_sharded_equals_unsharded(self, n_vehicles):
-        direct = _run_fleet(n_vehicles, seed=0, duration_s=60.0, town_preset="amherst")
-        sharded = run_sharded_trial(
-            n_vehicles, seed=0, duration_s=60.0, workers=2
-        )
-        assert sharded == direct  # dataclass equality: bit-for-bit floats
-
-    def test_sharded_serial_equals_parallel(self):
-        serial = run_sharded_trial(3, seed=1, duration_s=60.0, workers=1)
-        parallel = run_sharded_trial(3, seed=1, duration_s=60.0, workers=3)
-        assert serial == parallel

@@ -4,7 +4,7 @@ The cache's contract is absolute: a warm run must be *byte-identical* to a
 cold run — same ``TrialResult`` envelopes, same merged telemetry, same JSON
 — and any behavioral change to the simulation code must invalidate every
 stale entry.  These tests pin the keying algebra, the storage layer's
-crash-safety, the runner wiring (serial, parallel, sharded), the
+crash-safety, the runner wiring (serial and parallel), the
 hypothesis-level cold/warm equivalence, and fingerprint invalidation.
 """
 
@@ -36,7 +36,7 @@ from repro.cache import (
 )
 from repro.obs.telemetry import Telemetry, merge_snapshots
 from repro.obs.export import snapshot_to_jsonable
-from repro.runner import ShardedJob, TrialJob, run_jobs, run_sharded
+from repro.runner import TrialJob, run_jobs
 
 
 # ---------------------------------------------------------------------------
@@ -66,10 +66,6 @@ def _tiny_trial(seed, duration):
         "metric": (seed + 1) * duration,
         "telemetry": tele.snapshot(),
     }
-
-
-def _shard_pids(shard, *args):
-    return [os.getpid() for _ in shard]
 
 
 @dataclass(frozen=True)
@@ -265,44 +261,6 @@ class TestRunJobsCaching:
             run_jobs([TrialJob(_double, (9,))])
             run_jobs([TrialJob(_double, (9,))])
         assert cache.stats["hits"] == 1
-
-
-class TestRunShardedFallback:
-    def test_single_core_runs_in_process(self, monkeypatch):
-        monkeypatch.setattr(os, "cpu_count", lambda: 1)
-        job = ShardedJob(fn=_shard_pids, items=tuple(range(6)), tag="pids")
-        envelope = run_sharded(job, workers=4)
-        assert envelope.ok
-        assert envelope.value == [os.getpid()] * 6  # parent process, no pool
-
-    def test_overcommit_escape_hatch(self, monkeypatch):
-        # More reported cores than shards lifts the clamp, whatever the
-        # machine running the test has.
-        monkeypatch.setattr(os, "cpu_count", lambda: 4)
-        job = ShardedJob(fn=_shard_pids, items=tuple(range(4)), tag="pids")
-        envelope = run_sharded(job, workers=2)
-        assert envelope.ok
-        assert any(pid != os.getpid() for pid in envelope.value)
-
-    def test_clamped_results_equal_sharded(self, monkeypatch):
-        job = ShardedJob(fn=_tiny_shard, items=tuple(range(7)), args=(3,))
-        wide = run_sharded(job, workers=4)
-        monkeypatch.setattr(os, "cpu_count", lambda: 1)
-        narrow = run_sharded(job, workers=4)
-        assert wide.ok and narrow.ok and wide.value == narrow.value
-
-    def test_sharded_cache_hits(self, tmp_path, monkeypatch):
-        monkeypatch.setattr(os, "cpu_count", lambda: 1)
-        cache = TrialCache(tmp_path / "c", fingerprint="fp")
-        job = ShardedJob(fn=_tiny_shard, items=tuple(range(5)), args=(2,), tag="s")
-        cold = run_sharded(job, workers=2, cache=cache)
-        warm = run_sharded(job, workers=2, cache=cache)
-        assert cold == warm
-        assert cache.stats["hits"] >= 1
-
-
-def _tiny_shard(shard, offset):
-    return [x * x + offset for x in shard]
 
 
 # ---------------------------------------------------------------------------
@@ -562,8 +520,9 @@ class TestTownTrialsEndToEnd:
             for seed in (0, 1)
         ]
         cache = TrialCache(tmp_path / "c")
-        cold = aggregate_town_trials(specs, cache=cache)
-        warm = aggregate_town_trials(specs, cache=cache)
+        with activate(cache):
+            cold = aggregate_town_trials(specs)
+            warm = aggregate_town_trials(specs)
         assert cache.stats["stores"] == 4 and cache.stats["hits"] == 4
         for label in cold:
             c, w = cold[label], warm[label]

@@ -19,9 +19,9 @@ from repro.core.schedule import OperationMode
 from repro.core.spider import SpiderClient
 from repro.experiments.common import (
     TownTrialSpec,
+    aggregate_town_trials,
     run_town_trial,
-    run_town_trial_envelopes,
-    run_town_trial_specs,
+    run_town_trial_spec,
 )
 from repro.experiments.town_runs import spider_factory, stock_factory
 from repro.sim.engine import Simulator
@@ -152,8 +152,8 @@ class TestFaultPlanDeterminism:
             RandomOutages(start_s=0.0, end_s=20.0, rate_per_min=4.0),
             DhcpNakBurst(at_s=5.0, duration_s=10.0),
         )
-        a = run_town_trial_specs(self._specs(plan), workers=1)
-        b = run_town_trial_specs(self._specs(plan), workers=1)
+        a = [run_town_trial_spec(spec) for spec in self._specs(plan)]
+        b = [run_town_trial_spec(spec) for spec in self._specs(plan)]
         assert pickle.dumps(a) == pickle.dumps(b)
 
     def test_empty_plan_equals_no_plan(self):
@@ -169,9 +169,12 @@ class TestFaultPlanDeterminism:
     @settings(max_examples=5, deadline=None)
     @given(plan=_PLANS)
     def test_serial_and_parallel_agree_for_any_plan(self, plan):
-        serial = run_town_trial_envelopes(self._specs(plan), workers=1)
-        parallel = run_town_trial_envelopes(self._specs(plan), workers=2)
-        assert all(r.ok for r in serial) and all(r.ok for r in parallel)
-        assert pickle.dumps([r.value for r in serial]) == pickle.dumps(
-            [r.value for r in parallel]
+        serial = aggregate_town_trials(self._specs(plan), workers=1, strict=True)
+        parallel = aggregate_town_trials(
+            self._specs(plan), workers=2, strict=True
         )
+        assert list(serial) == list(parallel) == ["det-spider", "det-stock"]
+        for label in serial:
+            assert pickle.dumps(serial[label].trials) == pickle.dumps(
+                parallel[label].trials
+            )

@@ -219,6 +219,27 @@ class TestStandaloneTownExperiments:
             f"split={'on' if best.split else 'off'} ({best.throughput_kBps:.1f} KB/s)"
         ) in text
 
+    @pytest.mark.parametrize("telemetry", [True, False])
+    def test_transport_matrix_keeps_telemetry_per_trial(self, telemetry):
+        from repro.experiments.town_runs import CONFIG_CH1_MULTI_AP
+        from repro.obs import collect_snapshots
+
+        ccs = ("reno", "cubic")
+        spec = transport_matrix.TransportMatrixSpec(
+            seeds=(0,),
+            duration_s=20.0,
+            policies=(CONFIG_CH1_MULTI_AP,),
+            ccs=ccs,
+            splits=(False,),
+            telemetry=telemetry,
+        )
+        snapshots = collect_snapshots(transport_matrix.run_spec(spec).unwrap())
+        expected = [
+            ("town", transport_matrix._cell_label(CONFIG_CH1_MULTI_AP, cc, False), 0)
+            for cc in ccs
+        ]
+        assert [s.key for s in snapshots] == (expected if telemetry else [])
+
     def test_transport_matrix_rejects_unknown_policy(self):
         from repro.runner.pool import TrialError
 

@@ -241,11 +241,6 @@ class TestMerge:
         merged = merge_snapshots([None, _snap(counters={"a": 1.0}), None])
         assert merged.counter_value("a") == 1.0
 
-    def test_replicas_dedupe_by_key(self):
-        replica = _snap(key=("fleet", 2, 0), counters={"a": 1.0})
-        merged = merge_snapshots([replica, replica, replica])
-        assert merged.counter_value("a") == 1.0
-
     def test_empty_keys_never_dedupe(self):
         merged = merge_snapshots([_snap(counters={"a": 1.0})] * 3)
         assert merged.counter_value("a") == 3.0
@@ -390,7 +385,7 @@ class TestIntegration:
         from test_goldens import COMPACT_3CH
 
         off = run_dense_trial(COMPACT_3CH, seed=0)
-        on = run_dense_trial(COMPACT_3CH, seed=0, telemetry=True)
+        on = run_dense_trial(replace(COMPACT_3CH, telemetry=True), seed=0)
         assert off.telemetry is None
         assert on.telemetry.counter_value("contention.collision_scan") > 0
         assert replace(on, telemetry=None) == off

@@ -2,36 +2,26 @@
 
 The subsystem's transport promise (see ``repro.runner.pool``): snapshots
 captured inside worker processes and merged in submission order are
-bit-identical to a serial run, and a sharded fleet trial's per-vehicle
-telemetry is byte-for-byte the single-process capture.  The hypothesis
-properties pin the merge algebra itself — order-preserving chunking
-(what ``split_shards`` does to work) never changes the merged result, and
-replica snapshots deduplicate by key.
+bit-identical to a serial run, and a fleet vehicle's telemetry is its own
+prefixed slice of the shared capture.  The hypothesis property pins the
+merge algebra itself: order-preserving chunking never changes the merged
+result.
 """
 
 from __future__ import annotations
-
-import json
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.schedule import OperationMode
 from repro.experiments.common import run_town_trials
-from repro.experiments.fleet import _run_fleet, run_sharded_trial
+from repro.experiments.fleet import _run_fleet
 from repro.experiments.town_runs import spider_factory
-from repro.obs.export import build_payload
 from repro.obs.telemetry import Telemetry, merge_snapshots
-from repro.runner import split_shards
 
 
 def _spider():
     return spider_factory(OperationMode.single_channel(1), 7)
-
-
-def _export_bytes(snapshots) -> bytes:
-    """The on-disk artifact for a capture, as ``--telemetry`` writes it."""
-    return json.dumps(build_payload(snapshots), sort_keys=True).encode()
 
 
 # ----------------------------------------------------------------------
@@ -61,34 +51,9 @@ class TestWorkerDeterminism:
 
 
 # ----------------------------------------------------------------------
-# Fleet shards: sharded capture byte-identical to one process
+# The fleet: per-vehicle slices of one coupled capture
 # ----------------------------------------------------------------------
 class TestFleetShardDeterminism:
-    def test_sharded_vehicle_telemetry_is_byte_identical(self):
-        vehicles, seed, duration = 3, 0, 60.0
-        unsharded = _run_fleet(
-            vehicles, seed=seed, duration_s=duration,
-            town_preset="amherst", telemetry=True,
-        )
-        sharded = run_sharded_trial(
-            vehicles, seed=seed, duration_s=duration,
-            workers=2, telemetry=True,
-        )
-        assert sharded.vehicle_telemetry is not None
-        assert len(sharded.vehicle_telemetry) == vehicles
-        assert sharded.vehicle_telemetry == unsharded.vehicle_telemetry
-        # Per-vehicle slices carry no wall-clock instruments (those live
-        # under the unscoped engine.* names), so the exported artifact —
-        # the JSON payload — must match byte for byte: PR 4's acceptance
-        # bar for sharded captures.
-        assert _export_bytes(sharded.vehicle_telemetry) == _export_bytes(
-            unsharded.vehicle_telemetry
-        )
-        for snap in sharded.vehicle_telemetry:
-            assert snap.nondet_counters == () and snap.nondet_gauges == ()
-        # The metric row itself stays bit-identical too.
-        assert sharded == unsharded
-
     def test_vehicle_slices_are_disjoint_by_prefix(self):
         row = _run_fleet(
             2, seed=1, duration_s=45.0, town_preset="amherst", telemetry=True
@@ -101,18 +66,16 @@ class TestFleetShardDeterminism:
 
 
 # ----------------------------------------------------------------------
-# Merge algebra properties (alongside test_sharding's split properties)
+# Merge algebra properties
 # ----------------------------------------------------------------------
 _NAMES = ("alpha", "beta", "gamma")
 _BOUNDS = (1.0, 5.0)
 
 
 @st.composite
-def _snapshots(draw, keyed: bool):
+def _snapshots(draw):
     """A small synthetic capture; integer-valued so merges are exact."""
-    tele = Telemetry(
-        key=("syn", draw(st.integers(0, 2**30))) if keyed else ()
-    )
+    tele = Telemetry()
     for name in draw(st.lists(st.sampled_from(_NAMES), max_size=4)):
         tele.counter("c." + name).inc(draw(st.integers(0, 100)))
     for name in draw(st.lists(st.sampled_from(_NAMES), max_size=2)):
@@ -127,18 +90,19 @@ def _snapshots(draw, keyed: bool):
 class TestMergeProperties:
     @settings(max_examples=60, deadline=None)
     @given(
-        snaps=st.lists(_snapshots(keyed=False), max_size=8),
-        shards=st.integers(min_value=1, max_value=5),
+        snaps=st.lists(_snapshots(), max_size=8),
+        parts=st.integers(min_value=1, max_value=5),
     )
-    def test_chunked_merge_equals_flat_merge(self, snaps, shards):
-        """Merging per-shard then across shards == merging everything.
+    def test_chunked_merge_equals_flat_merge(self, snaps, parts):
+        """Merging per chunk then across chunks == merging everything.
 
-        This is exactly the shape of the pool's transport: each worker's
-        results come back in submission order and ``split_shards`` chunks
-        are order-preserving, so two-level merging must be a no-op.
+        This is exactly the shape of the pool's transport: results come
+        back in submission order, so merging order-preserving contiguous
+        chunks first must be a no-op.
         """
         flat = merge_snapshots(snaps, key=("final",))
-        chunks = split_shards(snaps, shards)
+        size = max(1, -(-len(snaps) // parts))
+        chunks = [snaps[i : i + size] for i in range(0, len(snaps), size)]
         chunked = merge_snapshots(
             [
                 merge_snapshots(chunk, key=("chunk", i))
@@ -147,22 +111,3 @@ class TestMergeProperties:
             key=("final",),
         )
         assert chunked == flat
-
-    @settings(max_examples=60, deadline=None)
-    @given(
-        snaps=st.lists(
-            _snapshots(keyed=True), max_size=6,
-            unique_by=lambda s: s.key,
-        ),
-        dup_index=st.integers(min_value=0, max_value=5),
-    )
-    def test_replicas_never_double_count(self, snaps, dup_index):
-        """Re-merging a snapshot a shard already contributed is a no-op."""
-        base = merge_snapshots(snaps, key=("final",))
-        if not snaps:
-            return
-        replica = snaps[dup_index % len(snaps)]
-        with_replica = merge_snapshots(
-            snaps + [replica], key=("final",)
-        )
-        assert with_replica == base
